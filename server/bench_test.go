@@ -78,7 +78,9 @@ func BenchmarkAnyKCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	maxK := tree.tree.MaxK
-	s.invalidateIndex("bench")
+	s.mu.Lock()
+	clear(s.graphs["bench"].indexes)
+	s.mu.Unlock()
 	if maxK < 3 {
 		b.Fatalf("bench graph too shallow: max k = %d", maxK)
 	}
@@ -128,7 +130,9 @@ func BenchmarkProfileGraphLevel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s.dropProfile("bench")
+		s.mu.Lock()
+		s.graphs["bench"].profile = nil
+		s.mu.Unlock()
 		b.StartTimer()
 		resp, err := s.Profile(ctx, ProfileRequest{Graph: "bench"})
 		if err != nil {

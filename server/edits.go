@@ -56,7 +56,7 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	s.editMu.Lock()
 	defer s.editMu.Unlock()
 
-	entry, err := s.lookup(req.Graph)
+	gs, entry, err := s.lookup(req.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -66,28 +66,21 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	// retry racing its original observes the stored response, not a
 	// half-applied batch.
 	if req.IdempotencyKey != "" {
-		if replay, ok := s.lookupIdem(req.Graph, req.IdempotencyKey); ok {
+		if replay, ok := gs.idem.lookup(req.IdempotencyKey); ok {
 			s.adm.countReplay()
 			return replay, nil
 		}
 	}
 
 	// Materialize the graph's overlay on first edit: registration keeps
-	// entries overlay-free so read-only graphs never pay the O(n) label
-	// index. editMu makes the lazy install race-free — no other registry
-	// mutation can interleave. The overlay starts at the entry's current
-	// version, not 1: a graph recovered from its durable store continues
-	// the version sequence its WAL records, so replay stays exact.
-	delta := entry.delta
-	if delta == nil {
-		delta = graph.NewDeltaAt(entry.g, entry.version)
-		s.mu.Lock()
-		cur := s.graphs[req.Graph]
-		cur.delta = delta
-		s.graphs[req.Graph] = cur
-		s.mu.Unlock()
-		entry.delta = delta
+	// states overlay-free so read-only graphs never pay the O(n) label
+	// index. The overlay starts at the entry's current version, not 1: a
+	// graph recovered from its durable store continues the version
+	// sequence its WAL records, so replay stays exact.
+	if gs.delta == nil {
+		gs.delta = graph.NewDeltaAt(entry.g, entry.version)
 	}
+	delta := gs.delta
 
 	// Apply the batch to the overlay, remembering the vertex ids of every
 	// effective edit (labels are stable, so ids resolved after the fact
@@ -124,14 +117,14 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 		resp.IndexRepair = "none"
 		resp.ElapsedMS = float64(time.Since(begin)) / float64(time.Millisecond)
 		if req.IdempotencyKey != "" {
-			s.storeIdem(req.Graph, req.IdempotencyKey, resp)
+			gs.idem.store(req.IdempotencyKey, resp)
 		}
 		return resp, nil
 	}
 
 	// Materialize the new snapshot and diff core numbers to find the
 	// affected connectivity levels.
-	oldCores := entry.cores
+	oldCores := gs.cores
 	if oldCores == nil {
 		oldCores = kcore.CoreNumbers(entry.g)
 	}
@@ -142,7 +135,7 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	// snapshot (fsync'd and renamed before anything becomes visible) is
 	// itself the batch's durability point — no WAL record needed. Off
 	// that path, compact on the heap and WAL-log the batch as before.
-	g2, spilled := s.spillCompact(req.Graph, delta, req.IdempotencyKey)
+	g2, spilled := s.spillCompact(gs, delta, req.IdempotencyKey)
 	if !spilled {
 		g2 = delta.Compact()
 	}
@@ -159,7 +152,7 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	if spilled {
 		resp.Persisted = true
 	} else {
-		resp.Persisted = s.persistEdits(req.Graph, store.Batch{
+		resp.Persisted = s.persistEdits(gs, store.Batch{
 			PrevVersion: entry.version,
 			NewVersion:  delta.Version(),
 			Inserts:     req.Inserts,
@@ -168,21 +161,21 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 		}, g2)
 	}
 
-	// Install the new snapshot under a fresh generation. Every registry
-	// mutation (Edits, AddGraph, RemoveGraph) serializes on editMu, so
-	// the entry looked up above is still the installed one.
+	// Re-install the state with the new snapshot under a fresh generation,
+	// which retires the old snapshot's index builds; the hierarchy index
+	// spans every level, and an effective edit always touches level 1, so
+	// it is retired unconditionally. With BuildIndex set, the background
+	// repair build starts in the same step. Every lifecycle transition
+	// serializes on editMu, so gs is still the registered state.
 	s.mu.Lock()
-	s.nextGen++
-	newEntry := graphEntry{
-		g:        g2,
-		gen:      s.nextGen,
-		version:  delta.Version(),
-		modified: time.Now(),
-		delta:    delta,
-		cores:    newCores,
-	}
-	s.graphs[req.Graph] = newEntry
+	newEntry := s.installLocked(gs, g2, delta.Version())
+	s.startBuildsLocked(gs)
 	s.mu.Unlock()
+	gs.cores = newCores
+	resp.IndexRepair = "dropped"
+	if s.cfg.BuildIndex {
+		resp.IndexRepair = "scheduled"
+	}
 
 	// Version-scoped cache invalidation: unaffected (graph, k) entries
 	// migrate to the new generation; affected ones are dropped but seed
@@ -197,28 +190,15 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 		s.putSeed(prevKey{graph: d.key.graph, k: d.key.k, algo: d.key.algo}, d.res)
 	}
 
-	// The hierarchy index spans every level, and an effective edit always
-	// touches level 1, so the old index is retired unconditionally; with
-	// BuildIndex set, the background repair build starts immediately.
-	if s.cfg.BuildIndex {
-		s.resetIndex(req.Graph, newEntry)
-		resp.IndexRepair = "scheduled"
-	} else {
-		s.retireIndex(req.Graph, newEntry.gen)
-		resp.IndexRepair = "dropped"
-	}
-
 	// Checkpoint policy: after enough logged batches, fold the WAL into a
 	// fresh snapshot. g2 is already the compacted current snapshot, so
 	// the checkpoint costs only the sequential file write. A spill
 	// already was the checkpoint.
 	if !spilled {
-		s.maybeCheckpoint(req.Graph, g2, newEntry.version)
+		s.maybeCheckpoint(gs, g2, newEntry.version)
 	}
 
-	s.statsMu.Lock()
-	s.enum.Edits++
-	s.statsMu.Unlock()
+	s.tick(func() { s.enum.Edits++ })
 
 	resp.Version = newEntry.version
 	resp.Vertices = g2.NumVertices()
@@ -228,7 +208,7 @@ func (s *Server) Edits(ctx context.Context, req EditsRequest) (*EditsResponse, e
 	resp.CacheInvalidated = len(dropped)
 	resp.ElapsedMS = float64(time.Since(begin)) / float64(time.Millisecond)
 	if req.IdempotencyKey != "" {
-		s.storeIdem(req.Graph, req.IdempotencyKey, resp)
+		gs.idem.store(req.IdempotencyKey, resp)
 	}
 	return resp, nil
 }

@@ -7,17 +7,20 @@ package server
 // lost response could interleave with other writers and re-apply edits
 // the graph has since moved past.
 //
-// The table is per graph and bounded: the oldest keys fall off once a
-// graph has seen maxIdemKeys keyed batches. An evicted key makes a very
-// late retry re-apply rather than replay — the window is deliberately
-// sized far past any sane client retry horizon. Keys survive restarts
-// through the WAL (each logged batch carries its key) and, across
-// checkpoints, through the store's idempotency retention file; a key
-// recovered that way replays with a minimal response (version and
-// Replayed only — the original counts died with the process).
+// The table belongs to the graph's state (so removing or replacing the
+// graph forgets its keys, which belong to the retired lineage) and is
+// bounded: the oldest keys fall off once a graph has seen maxIdemKeys
+// keyed batches. An evicted key makes a very late retry re-apply rather
+// than replay — the window is deliberately sized far past any sane client
+// retry horizon. Keys survive restarts through the WAL (each logged batch
+// carries its key) and, across checkpoints, through the store's
+// idempotency retention file; a key recovered that way replays with a
+// minimal response (version and Replayed only — the original counts died
+// with the process).
 
 // idemTable is one graph's bounded key → response map, insertion-ordered
-// for eviction.
+// for eviction. It is only touched under Server.editMu (or during Open,
+// before the server is shared), so it needs no lock of its own.
 type idemTable struct {
 	entries map[string]*EditsResponse
 	order   []string
@@ -26,15 +29,9 @@ type idemTable struct {
 // maxIdemKeys bounds one graph's replay table.
 const maxIdemKeys = 1024
 
-// lookupIdem returns the replay response for a previously applied key:
-// a copy of the stored response with Replayed set.
-func (s *Server) lookupIdem(graphName, key string) (*EditsResponse, bool) {
-	s.idemMu.Lock()
-	defer s.idemMu.Unlock()
-	t := s.idem[graphName]
-	if t == nil {
-		return nil, false
-	}
+// lookup returns the replay response for a previously applied key: a
+// copy of the stored response with Replayed set.
+func (t *idemTable) lookup(key string) (*EditsResponse, bool) {
 	stored, ok := t.entries[key]
 	if !ok {
 		return nil, false
@@ -44,16 +41,12 @@ func (s *Server) lookupIdem(graphName, key string) (*EditsResponse, bool) {
 	return &cp, true
 }
 
-// storeIdem records one applied keyed batch's response for future
-// replays, evicting the oldest keys past the bound.
-func (s *Server) storeIdem(graphName, key string, resp *EditsResponse) {
+// store records one applied keyed batch's response for future replays,
+// evicting the oldest keys past the bound.
+func (t *idemTable) store(key string, resp *EditsResponse) {
 	cp := *resp
-	s.idemMu.Lock()
-	defer s.idemMu.Unlock()
-	t := s.idem[graphName]
-	if t == nil {
-		t = &idemTable{entries: make(map[string]*EditsResponse)}
-		s.idem[graphName] = t
+	if t.entries == nil {
+		t.entries = make(map[string]*EditsResponse)
 	}
 	if _, dup := t.entries[key]; !dup {
 		t.order = append(t.order, key)
@@ -63,12 +56,4 @@ func (s *Server) storeIdem(graphName, key string, resp *EditsResponse) {
 		delete(t.entries, t.order[0])
 		t.order = t.order[1:]
 	}
-}
-
-// dropIdem forgets a graph's replay table when the graph is removed or
-// replaced wholesale — the keys belong to the retired lineage.
-func (s *Server) dropIdem(graphName string) {
-	s.idemMu.Lock()
-	delete(s.idem, graphName)
-	s.idemMu.Unlock()
 }

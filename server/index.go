@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"kvcc"
@@ -12,26 +11,17 @@ import (
 	"kvcc/hierarchy"
 )
 
-// indexKey addresses one hierarchy index: every registered graph can hold
-// one tree per cohesion measure, built independently. The zero measure is
-// kvcc, so single-measure deployments key exactly as they always did.
-type indexKey struct {
-	graph   string
-	measure cohesion.Measure
-}
-
-// graphIndex is one hierarchy-index build for one (graph, measure,
-// generation) triple. The build runs in a background goroutine; ready is
-// closed when it finishes, after which tree/err/buildMS are immutable. A
-// replaced graph cancels its index builds via cancel, so a stale build
-// can never serve queries: lookups always match the generation first.
+// graphIndex is one hierarchy-index build of one measure for one
+// generation of a graph, owned by that graph's state. The build runs in a
+// background goroutine; ready is closed when it finishes, after which
+// tree/err/buildMS are immutable. Installing a new snapshot or retiring
+// the state cancels the build via cancel, and lookups match the
+// generation first, so a stale build can never serve queries.
 type graphIndex struct {
-	graph   string
-	measure cohesion.Measure
-	gen     uint64
-	maxK    int // Options.MaxK the build uses (0 = full depth)
-	ready   chan struct{}
-	cancel  context.CancelFunc
+	gen    uint64
+	maxK   int // Options.MaxK the build uses (0 = full depth)
+	ready  chan struct{}
+	cancel context.CancelFunc
 
 	// Written once before ready is closed.
 	tree    *hierarchy.Tree
@@ -41,26 +31,8 @@ type graphIndex struct {
 	// levelRes memoizes the kvcc.Result materialized for each served
 	// level, so per-Result lazy state (the label→components inverted
 	// index behind ComponentsContaining/OverlapMatrix) amortizes across
-	// requests instead of being rebuilt per call. Only touched after
-	// ready closes with err == nil; the tree is immutable by then.
-	resMu    sync.Mutex
+	// requests instead of being rebuilt per call. Guarded by Server.mu.
 	levelRes map[int]*kvcc.Result
-}
-
-// levelResult returns the (memoized) Result for level k of a finished
-// build. Callers must have checked done(), err == nil and tree.Covers(k).
-func (ix *graphIndex) levelResult(k int) *kvcc.Result {
-	ix.resMu.Lock()
-	defer ix.resMu.Unlock()
-	if r, ok := ix.levelRes[k]; ok {
-		return r
-	}
-	if ix.levelRes == nil {
-		ix.levelRes = make(map[int]*kvcc.Result)
-	}
-	r := resultFromIndex(ix.tree, k)
-	ix.levelRes[k] = r
-	return r
 }
 
 // done reports whether the build has finished, without blocking.
@@ -73,81 +45,31 @@ func (ix *graphIndex) done() bool {
 	}
 }
 
-// invalidateIndex unconditionally cancels and drops every measure's index
-// for name.
-func (s *Server) invalidateIndex(name string) {
-	s.indexMu.Lock()
-	var ixs []*graphIndex
-	for key, ix := range s.indexes {
-		if key.graph == name {
-			ixs = append(ixs, ix)
-			delete(s.indexes, key)
-		}
-	}
-	s.indexMu.Unlock()
-	for _, ix := range ixs {
-		ix.cancel()
-	}
-}
-
-// retireIndex drops the indexes for name (all measures) that belong to a
-// generation older than gen. The generation guard makes concurrent
-// AddGraph calls commute: the call that lost the registry race (its
-// generation is older) can neither cancel the winner's builds nor
-// install its own over them (see resetIndex).
-func (s *Server) retireIndex(name string, gen uint64) {
-	s.indexMu.Lock()
-	var ixs []*graphIndex
-	for key, ix := range s.indexes {
-		if key.graph == name && ix.gen < gen {
-			ixs = append(ixs, ix)
-			delete(s.indexes, key)
-		}
-	}
-	s.indexMu.Unlock()
-	for _, ix := range ixs {
-		ix.cancel()
-	}
-}
-
-// resetIndex retires any older-generation builds and starts one per
-// configured index measure for e, unless a build of e's generation or
-// newer is already installed for that measure.
-func (s *Server) resetIndex(name string, e graphEntry) {
-	s.retireIndex(name, e.gen)
-	s.indexMu.Lock()
-	for _, m := range s.indexMeasures {
-		if cur := s.indexes[indexKey{graph: name, measure: m}]; cur == nil || cur.gen < e.gen {
-			s.startIndexBuildLocked(name, e, m)
-		}
-	}
-	s.indexMu.Unlock()
-}
-
-// startIndexBuildLocked launches the background hierarchy build of one
-// measure for one graph entry and installs it in the index table,
-// cancelling any build it displaces (once evicted from the table a build
-// is unreachable by retireIndex, so this is its only cancellation point).
-// Callers hold indexMu.
-func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Measure) *graphIndex {
-	key := indexKey{graph: name, measure: m}
-	if old := s.indexes[key]; old != nil {
+// startBuildLocked launches the background hierarchy build of measure m
+// for gs's installed snapshot and installs it in gs's index table,
+// cancelling any build it displaces. The goroutine holds a slot of
+// gs.builds until its save returns. Callers hold s.mu, and gs is
+// registered, so its store is already open and its retirement (which
+// waits on gs.builds) has not begun.
+func (s *Server) startBuildLocked(gs *graphState, m cohesion.Measure) *graphIndex {
+	if old := gs.indexes[m]; old != nil {
 		old.cancel()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.IndexBuildTimeout)
 	ix := &graphIndex{
-		graph:   name,
-		measure: m,
-		gen:     e.gen,
-		maxK:    s.cfg.IndexMaxK,
-		ready:   make(chan struct{}),
-		cancel:  cancel,
+		gen:    gs.entry.gen,
+		maxK:   s.cfg.IndexMaxK,
+		ready:  make(chan struct{}),
+		cancel: cancel,
 	}
-	s.indexes[key] = ix
+	gs.indexes[m] = ix
+	g := gs.entry.g
+	gs.builds.Add(1)
 	go func() {
+		defer gs.builds.Done()
 		defer cancel()
 		begin := time.Now()
-		tree, err := hierarchy.BuildContext(ctx, e.g, hierarchy.Options{
+		tree, err := hierarchy.BuildContext(ctx, g, hierarchy.Options{
 			MaxK:        ix.maxK,
 			Measure:     m,
 			Parallelism: s.cfg.Parallelism,
@@ -160,73 +82,53 @@ func (s *Server) startIndexBuildLocked(name string, e graphEntry, m cohesion.Mea
 		// Persist after ready closes so queries start using the index
 		// immediately; the save is advisory (it only speeds up the next
 		// restart) and checks the generation itself.
-		s.persistIndex(ix)
+		s.persistIndex(gs, ix)
 	}()
 	return ix
 }
 
-// installReadyIndex registers an already-finished tree (loaded from a
-// graph's durable store at recovery) as the graph's index for the tree's
-// measure: a graphIndex born ready, with nothing to cancel. The usual
-// generation guard applies, so a racing build for a newer generation is
-// never displaced.
-func (s *Server) installReadyIndex(name string, e graphEntry, tree *hierarchy.Tree, buildMS float64) {
-	ix := &graphIndex{
-		graph:   name,
-		measure: tree.Measure,
-		gen:     e.gen,
-		maxK:    s.cfg.IndexMaxK,
-		ready:   make(chan struct{}),
-		cancel:  func() {},
-		tree:    tree,
-		buildMS: buildMS,
-	}
-	close(ix.ready)
-	key := indexKey{graph: name, measure: tree.Measure}
-	s.indexMu.Lock()
-	if cur := s.indexes[key]; cur == nil || cur.gen < e.gen {
-		if cur != nil {
-			cur.cancel()
-		}
-		s.indexes[key] = ix
-	}
-	s.indexMu.Unlock()
-}
-
-// readyIndex returns the finished index build for (name, gen, measure),
-// or nil when no matching build has completed successfully. Non-blocking:
+// indexResult returns level k of gs's finished index of measure m for
+// generation gen, or nil when no successful build covers it. Non-blocking:
 // the enumerate fast path uses it to opportunistically serve from the
 // index while a build in progress falls back to the cache/singleflight
-// path.
-func (s *Server) readyIndex(name string, gen uint64, m cohesion.Measure) *graphIndex {
-	s.indexMu.Lock()
-	ix := s.indexes[indexKey{graph: name, measure: m}]
-	s.indexMu.Unlock()
-	if ix == nil || ix.gen != gen || !ix.done() || ix.err != nil {
+// path. The per-level Result is memoized on the index.
+func (s *Server) indexResult(gs *graphState, gen uint64, m cohesion.Measure, k int) *kvcc.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ix := gs.indexes[m]
+	if ix == nil || ix.gen != gen || !ix.done() || ix.err != nil || !ix.tree.Covers(k) {
 		return nil
 	}
-	return ix
+	if r, ok := ix.levelRes[k]; ok {
+		return r
+	}
+	if ix.levelRes == nil {
+		ix.levelRes = make(map[int]*kvcc.Result)
+	}
+	r := resultFromIndex(ix.tree, k)
+	ix.levelRes[k] = r
+	return r
 }
 
-// indexFor returns the finished index for the named graph, starting a
-// build on demand if none matches the current generation, and waiting for
-// completion within ctx. This is the blocking path behind the hierarchy
-// and cohesion endpoints, which exist only in terms of the index. A build
-// that completed with an error (e.g. it hit IndexBuildTimeout) is not
-// cached: the next request starts a fresh build rather than replaying the
-// stale failure forever. An index of a newer generation than this
-// caller's lookup is used as-is — newer is the current graph.
+// indexFor returns the finished index of measure m for the named graph,
+// starting a build on demand if none exists, and waiting for completion
+// within ctx. This is the blocking path behind the hierarchy and cohesion
+// endpoints, which exist only in terms of the index. A build that
+// completed with an error (e.g. it hit IndexBuildTimeout) is not cached:
+// the next request starts a fresh build rather than replaying the stale
+// failure forever.
 func (s *Server) indexFor(ctx context.Context, name string, m cohesion.Measure) (*graphIndex, error) {
-	entry, err := s.lookup(name)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	gs := s.graphs[name]
+	if gs == nil {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
 	}
-	s.indexMu.Lock()
-	ix := s.indexes[indexKey{graph: name, measure: m}]
-	if ix == nil || ix.gen < entry.gen || (ix.gen == entry.gen && ix.done() && ix.err != nil) {
-		ix = s.startIndexBuildLocked(name, entry, m)
+	ix := gs.indexes[m]
+	if ix == nil || (ix.done() && ix.err != nil) {
+		ix = s.startBuildLocked(gs, m)
 	}
-	s.indexMu.Unlock()
+	s.mu.Unlock()
 	select {
 	case <-ix.ready:
 		if ix.err != nil {
@@ -401,24 +303,26 @@ const (
 
 // indexInfos snapshots the state of every index build for Stats.
 func (s *Server) indexInfos() []IndexInfo {
-	s.indexMu.Lock()
-	defer s.indexMu.Unlock()
-	out := make([]IndexInfo, 0, len(s.indexes))
-	for key, ix := range s.indexes {
-		info := IndexInfo{Graph: key.graph, Measure: wireMeasure(key.measure), MaxK: ix.maxK}
-		switch {
-		case !ix.done():
-			info.State = "building"
-		case ix.err != nil:
-			info.State = "failed"
-		default:
-			info.State = "ready"
-			info.Size = ix.tree.Size()
-			info.TreeMaxK = ix.tree.MaxK
-			info.Complete = ix.tree.Covers(ix.tree.MaxK + 1)
-			info.BuildMS = ix.buildMS
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []IndexInfo
+	for name, gs := range s.graphs {
+		for m, ix := range gs.indexes {
+			info := IndexInfo{Graph: name, Measure: wireMeasure(m), MaxK: ix.maxK}
+			switch {
+			case !ix.done():
+				info.State = "building"
+			case ix.err != nil:
+				info.State = "failed"
+			default:
+				info.State = "ready"
+				info.Size = ix.tree.Size()
+				info.TreeMaxK = ix.tree.MaxK
+				info.Complete = ix.tree.Covers(ix.tree.MaxK + 1)
+				info.BuildMS = ix.buildMS
+			}
+			out = append(out, info)
 		}
-		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Graph != out[j].Graph {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kvcc/cohesion"
 	"kvcc/gen"
 	"kvcc/graph"
 )
@@ -236,21 +237,20 @@ func TestConcurrentIndexBuildAndQueries(t *testing.T) {
 func TestFailedIndexBuildRetries(t *testing.T) {
 	s := New(Config{})
 	s.AddGraph("g", twoCliques())
-	entry, err := s.lookup("g")
+	_, entry, err := s.lookup("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed := &graphIndex{
-		graph:  "g",
 		gen:    entry.gen,
 		ready:  make(chan struct{}),
 		cancel: func() {},
 		err:    context.DeadlineExceeded,
 	}
 	close(failed.ready)
-	s.indexMu.Lock()
-	s.indexes[indexKey{graph: "g"}] = failed
-	s.indexMu.Unlock()
+	s.mu.Lock()
+	s.graphs["g"].indexes[cohesion.KVCC] = failed
+	s.mu.Unlock()
 
 	hier := waitForIndex(t, s, "g") // must retry, not replay the stale failure
 	if hier.MaxK != 4 {

@@ -18,6 +18,7 @@ import (
 // stored, and re-storing an existing key refreshes its recency.
 func TestSeedEvictionOrder(t *testing.T) {
 	s := New(Config{CacheSize: 3})
+	s.AddGraph("g", twoCliques())
 	key := func(k int) prevKey { return prevKey{graph: "g", k: k, algo: kvcc.VCCE} }
 	res := func() *kvcc.Result { return &kvcc.Result{} }
 

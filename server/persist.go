@@ -1,11 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
-	"time"
 
 	"kvcc/cohesion"
 	"kvcc/graph"
@@ -56,80 +56,80 @@ func Open(cfg Config) (*Server, error) {
 			s.notePersistError("recover "+de.Name(), err)
 			continue
 		}
-		st, err := store.Open(filepath.Join(s.cfg.DataDir, de.Name()), s.storeOptions())
-		if err != nil {
+		if err := s.recoverGraph(name, filepath.Join(s.cfg.DataDir, de.Name())); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("server: recover %q: %w", name, err)
 		}
-		s.storeMu.Lock()
-		s.stores[name] = st
-		s.storeMu.Unlock()
+	}
+	return s, nil
+}
 
-		g, version, ok := st.Graph()
-		if !ok {
-			// A store that crashed before its first checkpoint has no graph
-			// to serve; keep the directory so a re-registration reuses it.
-			continue
+// recoverGraph runs the front half of the lifecycle for one store
+// directory: open the store, install the recovered graph with its replay
+// protection and every persisted index that still matches, then start the
+// configured builds the disk could not supply.
+func (s *Server) recoverGraph(name, dir string) error {
+	st, err := store.Open(dir, s.storeOptions())
+	if err != nil {
+		return err
+	}
+	g, version, ok := st.Graph()
+	if !ok {
+		// A store that crashed before its first checkpoint has no graph to
+		// serve; keep the directory so a re-registration reuses it.
+		if err := st.Close(); err != nil {
+			s.notePersistError("close empty store for "+name, err)
 		}
-		s.mu.Lock()
-		s.nextGen++
-		entry := graphEntry{g: g, gen: s.nextGen, version: version, modified: time.Now()}
-		s.graphs[name] = entry
-		s.mu.Unlock()
-
-		replayed, torn := st.Replayed()
-		s.storeMu.Lock()
+		return nil
+	}
+	gs := newGraphState(name, st)
+	replayed, torn := st.Replayed()
+	s.tick(func() {
 		s.persist.RecoveredGraphs++
 		s.persist.ReplayedBatches += replayed
 		if torn {
 			s.persist.TornTails++
 		}
-		s.storeMu.Unlock()
+	})
 
-		// Re-arm replay protection: every idempotency key the store knows
-		// was applied (from the WAL and the retention file) seeds the
-		// graph's replay table with a minimal response — version and
-		// Replayed only, since the original edit counts died with the old
-		// process. A retry of a pre-crash batch then replays instead of
-		// re-applying on top of state that already includes it.
-		for key, ver := range st.IdempotencyKeys() {
-			s.storeIdem(name, key, &EditsResponse{Graph: name, Version: ver})
+	// Re-arm replay protection: every idempotency key the store knows was
+	// applied (from the WAL and the retention file) seeds the graph's
+	// replay table with a minimal response — version and Replayed only,
+	// since the original edit counts died with the old process. A retry of
+	// a pre-crash batch then replays instead of re-applying on top of state
+	// that already includes it.
+	for key, ver := range st.IdempotencyKeys() {
+		gs.idem.store(key, &EditsResponse{Graph: name, Version: ver})
+	}
+
+	// An index file is used only if it exists, matches the recovered
+	// version exactly (LoadIndex checks) and was built with the depth cap
+	// the server would use now.
+	loaded := make(map[cohesion.Measure]*graphIndex)
+	for _, m := range cohesion.Measures() {
+		tree, buildMS, ok, err := st.LoadIndex(m)
+		if err != nil {
+			s.notePersistError("index load for "+name, err)
+			continue
 		}
-
-		s.recoverIndex(name, entry, st)
-	}
-	return s, nil
-}
-
-// Close stops background index builds (waiting for them to drain) and
-// releases every store, including the snapshot mappings recovered graphs
-// are served from. Call it only once the server has stopped serving: any
-// request still holding a recovered graph loses its memory. A server
-// without persistence has nothing to release beyond the index goroutines.
-func (s *Server) Close() error {
-	s.indexMu.Lock()
-	ixs := make([]*graphIndex, 0, len(s.indexes))
-	for _, ix := range s.indexes {
-		ixs = append(ixs, ix)
-	}
-	s.indexes = make(map[indexKey]*graphIndex)
-	s.indexMu.Unlock()
-	for _, ix := range ixs {
-		ix.cancel()
-		<-ix.ready
-	}
-
-	s.storeMu.Lock()
-	stores := s.stores
-	s.stores = make(map[string]*store.Store)
-	s.storeMu.Unlock()
-	var first error
-	for _, st := range stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
+		if !ok || tree.BuiltMaxK != s.cfg.IndexMaxK {
+			continue
 		}
+		ix := &graphIndex{maxK: s.cfg.IndexMaxK, ready: make(chan struct{}), cancel: func() {}, tree: tree, buildMS: buildMS}
+		close(ix.ready)
+		loaded[m] = ix
+		s.tick(func() { s.persist.IndexLoads++ })
 	}
-	return first
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	entry := s.installLocked(gs, g, version)
+	for m, ix := range loaded {
+		ix.gen = entry.gen
+		gs.indexes[m] = ix
+	}
+	s.startBuildsLocked(gs)
+	return nil
 }
 
 func (s *Server) persistEnabled() bool { return s.cfg.DataDir != "" }
@@ -145,49 +145,23 @@ func (s *Server) graphDir(name string) string {
 	return filepath.Join(s.cfg.DataDir, url.PathEscape(name))
 }
 
-// storeFor returns the named graph's store, opening (creating) it on first
-// use. A nil return means persistence is off or the store is unusable (the
-// error is recorded).
-func (s *Server) storeFor(name string) *store.Store {
-	if !s.persistEnabled() {
-		return nil
-	}
-	s.storeMu.Lock()
-	st := s.stores[name]
-	s.storeMu.Unlock()
-	if st != nil {
-		return st
-	}
-	st, err := store.Open(s.graphDir(name), s.storeOptions())
-	if err != nil {
-		s.notePersistError("open store for "+name, err)
-		return nil
-	}
-	s.storeMu.Lock()
-	s.stores[name] = st
-	s.storeMu.Unlock()
-	return st
-}
-
 // persistNewGraph checkpoints a freshly registered graph as its store's
 // initial snapshot and discards any persisted index of the graph it
-// replaced. Runs under editMu (from AddGraph), so it cannot interleave
-// with an edit batch's Append on the same store.
-func (s *Server) persistNewGraph(name string, g *graph.Graph) {
-	st := s.storeFor(name)
-	if st == nil {
+// replaced. Runs under editMu (from AddGraph), after the replaced state's
+// saves have drained, so neither an edit batch nor a stale save can
+// interleave with it.
+func (s *Server) persistNewGraph(gs *graphState, g *graph.Graph) {
+	if gs.st == nil {
 		return
 	}
-	if err := st.DropIndex(); err != nil {
-		s.notePersistError("drop index for "+name, err)
+	if err := gs.st.DropIndex(); err != nil {
+		s.notePersistError("drop index for "+gs.name, err)
 	}
-	if err := st.Checkpoint(g, 1); err != nil {
-		s.notePersistError("checkpoint "+name, err)
+	if err := gs.st.Checkpoint(g, 1); err != nil {
+		s.notePersistError("checkpoint "+gs.name, err)
 		return
 	}
-	s.storeMu.Lock()
-	s.persist.Checkpoints++
-	s.storeMu.Unlock()
+	s.tick(func() { s.persist.Checkpoints++ })
 }
 
 // persistEdits durably logs one edit batch, reporting whether the batch is
@@ -199,25 +173,20 @@ func (s *Server) persistNewGraph(name string, g *graph.Graph) {
 // batch's durability and re-syncs the store's version chain so the next
 // append is acceptable again (store.Append refuses out-of-chain batches).
 // Only when the checkpoint also fails is the batch reported unpersisted.
-func (s *Server) persistEdits(name string, b store.Batch, g *graph.Graph) bool {
-	st := s.storeFor(name)
-	if st == nil {
+func (s *Server) persistEdits(gs *graphState, b store.Batch, g *graph.Graph) bool {
+	if gs.st == nil {
 		return false
 	}
-	if err := st.Append(b); err != nil {
-		s.notePersistError("wal append for "+name, err)
-		if cerr := st.Checkpoint(g, b.NewVersion); cerr != nil {
-			s.notePersistError("recovery checkpoint for "+name, cerr)
+	if err := gs.st.Append(b); err != nil {
+		s.notePersistError("wal append for "+gs.name, err)
+		if cerr := gs.st.Checkpoint(g, b.NewVersion); cerr != nil {
+			s.notePersistError("recovery checkpoint for "+gs.name, cerr)
 			return false
 		}
-		s.storeMu.Lock()
-		s.persist.Checkpoints++
-		s.storeMu.Unlock()
+		s.tick(func() { s.persist.Checkpoints++ })
 		return true
 	}
-	s.storeMu.Lock()
-	s.persist.WALAppends++
-	s.storeMu.Unlock()
+	s.tick(func() { s.persist.WALAppends++ })
 	return true
 }
 
@@ -229,126 +198,78 @@ func (s *Server) persistEdits(name string, b store.Batch, g *graph.Graph) bool {
 // batch is superseded by the snapshot itself. Returns (nil, false) when
 // the threshold is not reached or the spill failed; the caller then
 // compacts on the heap and logs the batch as usual.
-func (s *Server) spillCompact(name string, delta *graph.Delta, key string) (*graph.Graph, bool) {
-	if !s.persistEnabled() || s.cfg.CheckpointEvery < 0 {
+func (s *Server) spillCompact(gs *graphState, delta *graph.Delta, key string) (*graph.Graph, bool) {
+	if gs.st == nil || s.cfg.CheckpointEvery < 0 || gs.st.Pending()+1 < s.cfg.CheckpointEvery {
 		return nil, false
 	}
-	st := s.storeFor(name)
-	if st == nil || st.Pending()+1 < s.cfg.CheckpointEvery {
-		return nil, false
-	}
-	g, err := st.CompactToStore(delta, key)
+	g, err := gs.st.CompactToStore(delta, key)
 	if err != nil {
-		s.notePersistError("spill compact for "+name, err)
+		s.notePersistError("spill compact for "+gs.name, err)
 		return nil, false
 	}
-	s.storeMu.Lock()
-	s.persist.Checkpoints++
-	s.persist.SpillCompactions++
-	s.storeMu.Unlock()
+	s.tick(func() {
+		s.persist.Checkpoints++
+		s.persist.SpillCompactions++
+	})
 	return g, true
 }
 
 // maybeCheckpoint folds the WAL into a fresh snapshot once enough batches
 // accumulated. g is the already-compacted current snapshot, so the only
 // extra cost is the sequential write.
-func (s *Server) maybeCheckpoint(name string, g *graph.Graph, version uint64) {
-	if !s.persistEnabled() || s.cfg.CheckpointEvery < 0 {
+func (s *Server) maybeCheckpoint(gs *graphState, g *graph.Graph, version uint64) {
+	if gs.st == nil || s.cfg.CheckpointEvery < 0 || gs.st.Pending() < s.cfg.CheckpointEvery {
 		return
 	}
-	st := s.storeFor(name)
-	if st == nil || st.Pending() < s.cfg.CheckpointEvery {
+	if err := gs.st.Checkpoint(g, version); err != nil {
+		s.notePersistError("checkpoint "+gs.name, err)
 		return
 	}
-	if err := st.Checkpoint(g, version); err != nil {
-		s.notePersistError("checkpoint "+name, err)
-		return
-	}
-	s.storeMu.Lock()
-	s.persist.Checkpoints++
-	s.storeMu.Unlock()
+	s.tick(func() { s.persist.Checkpoints++ })
 }
 
-// dropStore removes a removed graph's on-disk state. The snapshot mapping
-// (if any) deliberately stays alive — in-flight requests may still read
-// the recovered graph — and is released at process exit.
-func (s *Server) dropStore(name string) {
-	if !s.persistEnabled() {
-		return
-	}
-	s.storeMu.Lock()
-	st := s.stores[name]
-	delete(s.stores, name)
-	s.storeMu.Unlock()
-	if st == nil {
-		return
-	}
-	if err := st.Destroy(); err != nil {
-		s.notePersistError("destroy store for "+name, err)
-	}
-}
+// errNoStore marks an index save dropped because the graph has no store
+// (its open failed, which was recorded when it happened).
+var errNoStore = errors.New("no store")
 
-// recoverIndex installs the persisted hierarchy indexes (one per measure)
-// for a just-recovered graph, for each measure whose file exists, matches
-// the recovered version exactly, and was built with the same depth cap
-// the server would use now. Measures the disk could not supply fall back
-// to the configured background build via resetIndex, which skips the
-// measures already installed at this generation.
-func (s *Server) recoverIndex(name string, e graphEntry, st *store.Store) {
-	for _, m := range cohesion.Measures() {
-		tree, buildMS, ok, err := st.LoadIndex(m)
-		if err != nil {
-			s.notePersistError("index load for "+name, err)
-			continue
-		}
-		if !ok || tree.BuiltMaxK != s.cfg.IndexMaxK {
-			continue
-		}
-		s.installReadyIndex(name, e, tree, buildMS)
-		s.storeMu.Lock()
-		s.persist.IndexLoads++
-		s.storeMu.Unlock()
-	}
-	if s.cfg.BuildIndex {
-		s.resetIndex(name, e)
-	}
-}
-
-// persistIndex saves a finished index build if its graph generation is
-// still the installed one. The saved file is stamped with the overlay
-// version, so a save racing a concurrent edit is harmless: recovery only
-// loads an index whose stamp equals the recovered version.
-func (s *Server) persistIndex(ix *graphIndex) {
-	if !s.persistEnabled() || ix.err != nil || ix.tree == nil {
+// persistIndex saves a finished index build unless it was superseded —
+// by an edit (a newer generation is installed) or by a replacement (a new
+// state holds the name and has inherited the store) — which is normal and
+// skipped. A state retiring through Close or RemoveGraph still saves: its
+// store outlives every save, because persistIndex runs inside the build's
+// slot of gs.builds and the store is released only after they drain. The
+// saved file is stamped with the overlay version, so a save racing a
+// concurrent edit is harmless: recovery only loads an index whose stamp
+// equals the recovered version.
+func (s *Server) persistIndex(gs *graphState, ix *graphIndex) {
+	if !s.persistEnabled() || ix.err != nil {
 		return
 	}
 	s.mu.Lock()
-	entry, ok := s.graphs[ix.graph]
+	cur := s.graphs[gs.name]
+	current := (cur == gs || cur == nil) && gs.entry.gen == ix.gen
+	version := gs.entry.version
 	s.mu.Unlock()
-	if !ok || entry.gen != ix.gen {
+	if !current {
 		return
 	}
-	s.storeMu.Lock()
-	st := s.stores[ix.graph]
-	s.storeMu.Unlock()
-	if st == nil {
+	if gs.st == nil {
+		s.notePersistError("index save for "+gs.name, errNoStore)
 		return
 	}
-	if err := st.SaveIndex(ix.tree, entry.version, ix.buildMS); err != nil {
-		s.notePersistError("index save for "+ix.graph, err)
+	if err := gs.st.SaveIndex(ix.tree, version, ix.buildMS); err != nil {
+		s.notePersistError("index save for "+gs.name, err)
 		return
 	}
-	s.storeMu.Lock()
-	s.persist.IndexSaves++
-	s.storeMu.Unlock()
+	s.tick(func() { s.persist.IndexSaves++ })
 }
 
 // notePersistError records a non-fatal persistence failure for Stats.
 func (s *Server) notePersistError(op string, err error) {
-	s.storeMu.Lock()
-	s.persist.Errors++
-	s.persist.LastError = op + ": " + err.Error()
-	s.storeMu.Unlock()
+	s.tick(func() {
+		s.persist.Errors++
+		s.persist.LastError = op + ": " + err.Error()
+	})
 }
 
 // persistStats snapshots the persistence counters (nil when disabled).
@@ -356,11 +277,24 @@ func (s *Server) persistStats() *PersistStats {
 	if !s.persistEnabled() {
 		return nil
 	}
-	s.storeMu.Lock()
+	s.statsMu.Lock()
 	ps := s.persist
-	ps.Graphs = len(s.stores)
-	s.storeMu.Unlock()
+	s.statsMu.Unlock()
+	ps.Graphs = len(s.stores())
 	return &ps
+}
+
+// stores lists the open store of every registered graph.
+func (s *Server) stores() []*store.Store {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*store.Store
+	for _, gs := range s.graphs {
+		if gs.st != nil {
+			out = append(out, gs.st)
+		}
+	}
+	return out
 }
 
 // pagingStats rolls the per-store paging figures up into one server-wide
@@ -370,14 +304,8 @@ func (s *Server) pagingStats() *PagingStats {
 	if !s.persistEnabled() {
 		return nil
 	}
-	s.storeMu.Lock()
-	stores := make([]*store.Store, 0, len(s.stores))
-	for _, st := range s.stores {
-		stores = append(stores, st)
-	}
-	s.storeMu.Unlock()
 	agg := &PagingStats{Policy: s.cfg.PagingPolicy.String()}
-	for _, st := range stores {
+	for _, st := range s.stores() {
 		ps := st.PagingStats()
 		agg.SequentialHints += ps.SequentialHints
 		agg.WillNeedHints += ps.WillNeedHints

@@ -337,6 +337,10 @@ func TestStaleIndexIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The crashed server's repair build (started by the edit below) may
+	// still be saving when the test ends; drain it before the data dir is
+	// removed. Cleanups run last-in first-out, so this runs first.
+	t.Cleanup(func() { a.Close() })
 	a.AddGraph("fig2", twoCliques())
 	if _, err := a.Hierarchy(context.Background(), HierarchyRequest{Graph: "fig2"}); err != nil {
 		t.Fatal(err)

@@ -120,39 +120,28 @@ type graphProfile struct {
 	data ProfileResponse // per-request fields (PerVertex, Cached, ElapsedMS) left zero
 }
 
-// profileFor returns the graph-level profile for entry, computing and
-// caching it on first request per generation.
-func (s *Server) profileFor(name string, entry graphEntry) (ProfileResponse, bool) {
-	s.profileMu.Lock()
-	if p := s.profiles[name]; p != nil && p.gen == entry.gen {
+// profileFor returns the graph-level profile of gs's snapshot entry,
+// computing and caching it on the state on first request per generation.
+func (s *Server) profileFor(gs *graphState, entry graphEntry) (ProfileResponse, bool) {
+	s.mu.Lock()
+	if p := gs.profile; p != nil && p.gen == entry.gen {
 		data := p.data
-		s.profileMu.Unlock()
+		s.mu.Unlock()
 		return data, true
 	}
-	s.profileMu.Unlock()
+	s.mu.Unlock()
 
-	data := computeProfile(name, entry.g)
+	data := computeProfile(gs.name, entry.g)
 
-	s.profileMu.Lock()
+	s.mu.Lock()
 	// Last writer wins; both computed the same pure function of the
 	// snapshot, so overwriting is harmless. A newer generation's profile
 	// is never displaced by this older one.
-	if p := s.profiles[name]; p == nil || p.gen <= entry.gen {
-		if s.profiles == nil {
-			s.profiles = make(map[string]*graphProfile)
-		}
-		s.profiles[name] = &graphProfile{gen: entry.gen, data: data}
+	if p := gs.profile; p == nil || p.gen <= entry.gen {
+		gs.profile = &graphProfile{gen: entry.gen, data: data}
 	}
-	s.profileMu.Unlock()
+	s.mu.Unlock()
 	return data, false
-}
-
-// dropProfile forgets the cached profile of a removed graph (replaced
-// graphs are handled by the generation check in profileFor).
-func (s *Server) dropProfile(name string) {
-	s.profileMu.Lock()
-	delete(s.profiles, name)
-	s.profileMu.Unlock()
 }
 
 // Profile serves one graph-profile request. It is the method behind
@@ -163,7 +152,7 @@ func (s *Server) Profile(ctx context.Context, req ProfileRequest) (*ProfileRespo
 			ErrBadRequest, maxCohesionVertices, len(req.Vertices))
 	}
 	begin := time.Now()
-	entry, err := s.lookup(req.Graph)
+	gs, entry, err := s.lookup(req.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +167,7 @@ func (s *Server) Profile(ctx context.Context, req ProfileRequest) (*ProfileRespo
 	}
 	defer release()
 
-	data, cached := s.profileFor(req.Graph, entry)
+	data, cached := s.profileFor(gs, entry)
 	resp := data // copy; the cached value stays pristine
 	resp.Cached = cached
 
@@ -190,9 +179,7 @@ func (s *Server) Profile(ctx context.Context, req ProfileRequest) (*ProfileRespo
 		resp.PerVertex = pv
 	}
 
-	s.statsMu.Lock()
-	s.enum.Profiles++
-	s.statsMu.Unlock()
+	s.tick(func() { s.enum.Profiles++ })
 	resp.ElapsedMS = float64(time.Since(begin)) / float64(time.Millisecond)
 	return &resp, nil
 }

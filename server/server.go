@@ -1,12 +1,21 @@
 // Package server turns the one-shot k-VCC enumeration library into a
-// long-running query service. A Server holds a registry of named,
-// versioned graphs (each an immutable snapshot fronted by a mutation
-// overlay), a per-graph hierarchy index (the full k-VCC cohesion tree,
-// built in the background), an LRU cache of enumeration results keyed by
-// (graph, generation, measure, k, algorithm), and a singleflight layer that
+// long-running query service. A Server holds a registry with one state
+// per named graph: the installed snapshot (immutable, fronted by a
+// mutation overlay once edited), its durable store, its background
+// hierarchy-index builds (one full cohesion tree per measure), its
+// profile, its idempotency table and its incremental seeds. Server-wide
+// beside the registry sit an LRU cache of enumeration results keyed by
+// (graph, generation, measure, k, algorithm) and a singleflight layer that
 // collapses concurrent identical requests into one computation. On top of
 // that it exposes an HTTP/JSON API (see Handler) with per-request
 // timeouts; the Client type in this package speaks the same wire format.
+//
+// Each graph's state runs one ordered lifecycle (see state.go): open the
+// store, install the snapshot, start index builds; then stop the builds,
+// wait for them and their index saves, and close or destroy the store.
+// AddGraph, Edits, RemoveGraph, Close and recovery in Open are short
+// sequences over these steps, so a build never starts before its store
+// exists and a save never lands after the store is released.
 //
 // Requests descend a serving ladder: a ready hierarchy index answers any
 // covered k instantly; otherwise the cache answers repeats; otherwise one
@@ -20,10 +29,9 @@
 // simultaneously invalidates the cache entries and the index for the old
 // graph; an edit batch (Edits) installs a new snapshot under a new
 // generation but migrates the cache entries the batch provably did not
-// affect and seeds incremental recomputation for the ones it did.
-// RemoveGraph completes the lifecycle. The derived endpoints
-// (components-containing, overlap, cohesion, batch enumerate) are cheap
-// post-processing over the same results.
+// affect and seeds incremental recomputation for the ones it did. The
+// derived endpoints (components-containing, overlap, cohesion, batch
+// enumerate) are cheap post-processing over the same results.
 package server
 
 import (
@@ -224,131 +232,29 @@ type Server struct {
 	// the measures every eager (BuildIndex) and repair build covers.
 	indexMeasures []cohesion.Measure
 
-	mu      sync.Mutex
-	graphs  map[string]graphEntry
-	nextGen uint64
+	// mu guards the registry: the graphs map, nextGen, every registered
+	// graphState's serving fields (see graphState) and the recency list of
+	// the incremental seeds, which live with their graphs but share one
+	// server-wide bound. Critical sections are map and pointer updates
+	// (and slicing out one memoized index level); no I/O runs under it.
+	mu        sync.Mutex
+	graphs    map[string]*graphState
+	nextGen   uint64
+	seedOrder *list.List // *seedRecord, front = newest
 
-	// editMu serializes registry mutations (Edits, AddGraph, RemoveGraph)
-	// against each other; queries never take it. Each graph's Delta is
-	// only touched under editMu, so overlay mutation needs no lock of its
-	// own, and an edit batch can never interleave with a replacement or
-	// removal of the graph it is updating.
+	// editMu serializes every lifecycle transition — AddGraph, Edits,
+	// RemoveGraph, Close — against each other; queries never take it. It
+	// guards each state's edit-side fields (overlay, core numbers,
+	// idempotency table), and an edit batch can never interleave with a
+	// replacement or removal of the graph it is updating. Lock order:
+	// editMu, then mu, then statsMu.
 	editMu sync.Mutex
 
-	// prevMu guards prev, the one-shot incremental seeds: the last Result
-	// computed for a (graph, k, algo) whose cache entry an edit dropped.
-	// The next flight-leader enumeration for that key consumes the seed
-	// and recomputes only the k-core components the edits touched. The
-	// table is bounded by the cache capacity — seeds for keys that are
-	// never queried again are evicted oldest-first (see putSeed), so an
-	// edit-heavy workload cannot grow retained memory past what the
-	// cache itself was sized for. seedOrder keeps the entries in
-	// recency order (front = newest) so eviction is O(1), not a scan.
-	prevMu    sync.Mutex
-	prev      map[prevKey]*list.Element // values are *seedRecord
-	seedOrder *list.List
-
-	indexMu sync.Mutex
-	indexes map[indexKey]*graphIndex
-
+	// statsMu guards the counters behind Stats (leaf lock).
 	statsMu      sync.Mutex
 	enum         EnumStats
 	measureStats map[cohesion.Measure]*MeasureCounters
-
-	// profileMu guards the per-graph cache of graph-level profiles (see
-	// profile.go); entries are validated against the graph generation.
-	profileMu sync.Mutex
-	profiles  map[string]*graphProfile
-
-	// storeMu guards the per-graph durability stores and the persistence
-	// counters (see persist.go). Nil-able independent of cfg: with no
-	// DataDir the map simply stays empty.
-	storeMu sync.Mutex
-	stores  map[string]*store.Store
-	persist PersistStats
-
-	// idemMu guards idem, the per-graph idempotency-key replay tables
-	// (see idempotency.go). Leaf lock: never held while taking another.
-	idemMu sync.Mutex
-	idem   map[string]*idemTable
-}
-
-// graphEntry pairs a registered graph with the generation of the AddGraph
-// or Edits call that installed it; the generation is part of every cache
-// and flight key (see cacheKey), which keeps an in-flight enumeration on
-// a replaced graph from serving or caching results under the new graph.
-// The delta is the graph's mutation overlay (the current g is always its
-// compacted snapshot), created lazily by the first Edits call so
-// read-only graphs carry no edit bookkeeping; version is the overlay's
-// monotonic version stamp (1 until first edit) and modified the
-// wall-clock time of the last installing call, both surfaced through
-// GraphInfo so clients can detect staleness. cores caches the core
-// number of every vertex of g, the input to the affected-level
-// computation of the next edit batch (filled lazily on first edit).
-type graphEntry struct {
-	g        *graph.Graph
-	gen      uint64
-	version  uint64
-	modified time.Time
-	delta    *graph.Delta
-	cores    []int
-}
-
-// prevKey addresses one incremental seed.
-type prevKey struct {
-	graph string
-	k     int
-	algo  kvcc.Algorithm
-}
-
-// seedRecord is one stored seed, threaded on seedOrder for eviction.
-type seedRecord struct {
-	key prevKey
-	res *kvcc.Result
-}
-
-// putSeed stores res as the incremental seed for key, evicting the
-// oldest seeds when the table would exceed the cache capacity (the seeds
-// are dropped cache entries, so the cache's own size is the natural
-// bound on what edits may retain). Recency lives on seedOrder, so both
-// the store and the eviction are O(1) — an edit batch dropping many
-// cache entries no longer pays a full-table scan per seed.
-func (s *Server) putSeed(key prevKey, res *kvcc.Result) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok {
-		el.Value.(*seedRecord).res = res
-		s.seedOrder.MoveToFront(el)
-	} else {
-		s.prev[key] = s.seedOrder.PushFront(&seedRecord{key: key, res: res})
-	}
-	for len(s.prev) > s.cfg.CacheSize {
-		back := s.seedOrder.Back()
-		s.seedOrder.Remove(back)
-		delete(s.prev, back.Value.(*seedRecord).key)
-	}
-}
-
-// peekSeed returns the stored seed for key without consuming it.
-func (s *Server) peekSeed(key prevKey) *kvcc.Result {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok {
-		return el.Value.(*seedRecord).res
-	}
-	return nil
-}
-
-// consumeSeed removes the seed for key, but only if it is still the one
-// the caller peeked — a newer seed installed by a later edit batch must
-// survive for the first enumeration on that batch's snapshot.
-func (s *Server) consumeSeed(key prevKey, res *kvcc.Result) {
-	s.prevMu.Lock()
-	defer s.prevMu.Unlock()
-	if el, ok := s.prev[key]; ok && el.Value.(*seedRecord).res == res {
-		s.seedOrder.Remove(el)
-		delete(s.prev, key)
-	}
+	persist      PersistStats
 }
 
 // testHookEnumerateStarted, when non-nil, runs at the start of every
@@ -391,13 +297,9 @@ func New(cfg Config) *Server {
 		start:         time.Now(),
 		engine:        engine,
 		indexMeasures: measures,
-		graphs:        make(map[string]graphEntry),
-		prev:          make(map[prevKey]*list.Element),
+		graphs:        make(map[string]*graphState),
 		seedOrder:     list.New(),
-		indexes:       make(map[indexKey]*graphIndex),
 		measureStats:  make(map[cohesion.Measure]*MeasureCounters),
-		stores:        make(map[string]*store.Store),
-		idem:          make(map[string]*idemTable),
 	}
 }
 
@@ -420,94 +322,23 @@ func (s *Server) admit(ctx context.Context, cls costClass, graphName string) (re
 	return s.adm.acquire(ctx, cls)
 }
 
-// countMeasure ticks one per-measure serving-ladder counter.
-func (s *Server) countMeasure(m cohesion.Measure, tick func(*MeasureCounters)) {
+// tick applies one counter update under statsMu.
+func (s *Server) tick(update func()) {
 	s.statsMu.Lock()
-	c := s.measureStats[m]
-	if c == nil {
-		c = &MeasureCounters{}
-		s.measureStats[m] = c
-	}
-	tick(c)
+	update()
 	s.statsMu.Unlock()
 }
 
-// AddGraph registers g under name, replacing any previous graph with that
-// name and invalidating its cached results and hierarchy index. The
-// server treats g as immutable from this point on; callers must not
-// modify it. With Config.BuildIndex set, a background hierarchy-index
-// build starts immediately.
-func (s *Server) AddGraph(name string, g *graph.Graph) {
-	// Serialize with in-flight edit batches: an Edits call must finish
-	// installing its seeds and index state before a replacement tears
-	// them down (and vice versa). The mutation overlay is created lazily
-	// by the first Edits call, so registration costs no edit bookkeeping.
-	s.editMu.Lock()
-	defer s.editMu.Unlock()
-	s.mu.Lock()
-	_, replaced := s.graphs[name]
-	s.nextGen++
-	entry := graphEntry{
-		g:        g,
-		gen:      s.nextGen,
-		version:  1,
-		modified: time.Now(),
-	}
-	s.graphs[name] = entry
-	s.mu.Unlock()
-	if replaced {
-		s.cache.invalidateGraph(name)
-		s.dropSeeds(name)
-		s.dropIdem(name)
-	}
-	if s.cfg.BuildIndex {
-		s.resetIndex(name, entry)
-	} else {
-		s.retireIndex(name, entry.gen)
-	}
-	s.persistNewGraph(name, g)
-}
-
-// RemoveGraph unregisters the named graph, drops its cached results and
-// incremental seeds, and cancels (and discards) any background hierarchy
-// index build. It reports whether the graph was registered. A long-running
-// daemon that cycles datasets uses this to keep its memory bounded;
-// requests already in flight finish against the snapshot they hold but
-// can no longer cache results (their generation is retired with the
-// entry).
-func (s *Server) RemoveGraph(name string) bool {
-	// Serialize with Edits for the same reason as AddGraph: without this,
-	// an in-flight edit could re-seed s.prev or restart an index build
-	// after this removal swept them, resurrecting state for an
-	// unregistered graph.
-	s.editMu.Lock()
-	defer s.editMu.Unlock()
-	s.mu.Lock()
-	_, ok := s.graphs[name]
-	delete(s.graphs, name)
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	s.cache.invalidateGraph(name)
-	s.dropSeeds(name)
-	s.dropIdem(name)
-	s.invalidateIndex(name)
-	s.dropProfile(name)
-	s.dropStore(name)
-	return true
-}
-
-// dropSeeds discards every incremental seed held for the named graph.
-func (s *Server) dropSeeds(name string) {
-	s.prevMu.Lock()
-	for key, el := range s.prev {
-		if key.graph == name {
-			s.seedOrder.Remove(el)
-			delete(s.prev, key)
+// countMeasure ticks one per-measure serving-ladder counter.
+func (s *Server) countMeasure(m cohesion.Measure, tick func(*MeasureCounters)) {
+	s.tick(func() {
+		c := s.measureStats[m]
+		if c == nil {
+			c = &MeasureCounters{}
+			s.measureStats[m] = c
 		}
-	}
-	s.prevMu.Unlock()
+		tick(c)
+	})
 }
 
 // LoadGraphFile reads a SNAP-style edge list and registers the graph
@@ -529,7 +360,8 @@ func (s *Server) Graphs() []GraphInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]GraphInfo, 0, len(s.graphs))
-	for name, e := range s.graphs {
+	for name, gs := range s.graphs {
+		e := gs.entry
 		out = append(out, GraphInfo{
 			Name:       name,
 			Vertices:   e.g.NumVertices(),
@@ -540,16 +372,6 @@ func (s *Server) Graphs() []GraphInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-func (s *Server) lookup(name string) (graphEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.graphs[name]
-	if !ok {
-		return graphEntry{}, fmt.Errorf("%w: %q", ErrUnknownGraph, name)
-	}
-	return e, nil
 }
 
 // requestContext derives the context that bounds one request's wait: the
@@ -602,20 +424,15 @@ func (s *Server) result(ctx context.Context, graphName string, k int, m cohesion
 	if s.cfg.MaxK > 0 && k > s.cfg.MaxK {
 		return nil, srcComputed, fmt.Errorf("%w: k %d exceeds server limit %d", ErrBadRequest, k, s.cfg.MaxK)
 	}
-	entry, err := s.lookup(graphName)
+	gs, entry, err := s.lookup(graphName)
 	if err != nil {
 		return nil, srcComputed, err
 	}
 
-	if ix := s.readyIndex(graphName, entry.gen, m); ix != nil && ix.tree.Covers(k) {
-		s.statsMu.Lock()
-		s.enum.IndexServed++
-		s.statsMu.Unlock()
+	if res := s.indexResult(gs, entry.gen, m, k); res != nil {
+		s.tick(func() { s.enum.IndexServed++ })
 		s.countMeasure(m, func(c *MeasureCounters) { c.IndexServed++ })
-		// The per-level Result is memoized on the index so its lazy label
-		// index (behind components-containing/overlap) builds once, not
-		// once per request.
-		return ix.levelResult(k), srcIndex, nil
+		return res, srcIndex, nil
 	}
 
 	key := cacheKey{graph: graphName, gen: entry.gen, measure: m, k: k, algo: algo}
@@ -628,9 +445,10 @@ func (s *Server) result(ctx context.Context, graphName string, k int, m cohesion
 	// fresh enumeration (per-key EWMA cost estimate), skip the doomed
 	// compute and serve the previous generation's result marked degraded
 	// instead of timing out with nothing.
-	if res := s.degradedFor(ctx, key); res != nil {
-		s.adm.countDegraded()
-		return res, srcDegraded, nil
+	if s.overBudget(ctx, key) {
+		if res := s.degraded(key); res != nil {
+			return res, srcDegraded, nil
+		}
 	}
 
 	// Double-check inside the flight: this caller may have missed the
@@ -661,8 +479,7 @@ func (s *Server) result(ctx context.Context, graphName string, k int, m cohesion
 		// still be answered — one generation stale, and saying so — when
 		// an edit left the previous generation's result behind.
 		if errors.Is(err, ErrOverloaded) || errors.Is(err, context.DeadlineExceeded) {
-			if res := s.previousResult(key); res != nil {
-				s.adm.countDegraded()
+			if res := s.degraded(key); res != nil {
 				return res, srcDegraded, nil
 			}
 		}
@@ -684,31 +501,32 @@ func estimateKey(key cacheKey) string {
 	return key.graph + "/" + key.measure.String() + "/" + strconv.Itoa(key.k)
 }
 
-// previousResult returns the previous-generation result for key's query,
-// if an edit batch retained one (the incremental-seed table holds exactly
-// the last Result computed before the current generation invalidated it).
-// Only the kvcc measure retains seeds; nil otherwise.
-func (s *Server) previousResult(key cacheKey) *kvcc.Result {
+// degraded is the degraded rung: the previous-generation result for key's
+// query, if an edit batch retained one (the graph's incremental seed holds
+// exactly the last Result computed before the current generation
+// invalidated it), counted once when served. Only the kvcc measure
+// retains seeds; nil otherwise.
+func (s *Server) degraded(key cacheKey) *kvcc.Result {
 	if key.measure != kvcc.MeasureKVCC {
 		return nil
 	}
-	return s.peekSeed(prevKey{graph: key.graph, k: key.k, algo: key.algo})
+	res := s.peekSeed(prevKey{graph: key.graph, k: key.k, algo: key.algo})
+	if res != nil {
+		s.adm.countDegraded()
+	}
+	return res
 }
 
-// degradedFor decides up front whether fresh compute fits the request's
-// deadline budget: with a cost estimate on record and less remaining
-// budget than it predicts, the previous-generation result (if any) is the
-// best answer the deadline allows.
-func (s *Server) degradedFor(ctx context.Context, key cacheKey) *kvcc.Result {
+// overBudget decides up front whether fresh compute cannot fit the
+// request's deadline: a cost estimate is on record and the remaining
+// budget is below it.
+func (s *Server) overBudget(ctx context.Context, key cacheKey) bool {
 	dl, ok := ctx.Deadline()
 	if !ok {
-		return nil
+		return false
 	}
 	est, ok := s.adm.estimateMS(estimateKey(key))
-	if !ok || float64(time.Until(dl))/float64(time.Millisecond) >= est {
-		return nil
-	}
-	return s.previousResult(key)
+	return ok && float64(time.Until(dl))/float64(time.Millisecond) < est
 }
 
 // enumerate runs one cache-filling enumeration as the flight leader, on a
@@ -723,9 +541,7 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ComputeTimeout)
 	defer cancel()
 
-	s.statsMu.Lock()
-	s.enum.Started++
-	s.statsMu.Unlock()
+	s.tick(func() { s.enum.Started++ })
 	s.countMeasure(key.measure, func(c *MeasureCounters) { c.Enumerations++ })
 
 	// Consume the incremental seed, if an edit batch left one: the
@@ -791,19 +607,20 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	// unreachable in the LRU (lookups always use the current generation),
 	// wasting a slot until eviction.
 	s.mu.Lock()
-	cur, ok := s.graphs[key.graph]
+	cur := s.graphs[key.graph]
+	current := cur != nil && cur.entry.gen == key.gen
 	s.mu.Unlock()
-	if ok && cur.gen == key.gen {
+	if current {
 		s.cache.put(key, res)
 		// Consume the seed only when this leader computed on the current
 		// generation: a leader pinned to a retired generation (its lookup
 		// raced the edit) may reuse the seed's components, but must leave
 		// the seed in place for the first current-generation enumeration.
 		if seed != nil {
-			s.statsMu.Lock()
-			s.enum.IncrementalRuns++
-			s.enum.ComponentsReused += res.Stats.ComponentsReused
-			s.statsMu.Unlock()
+			s.tick(func() {
+				s.enum.IncrementalRuns++
+				s.enum.ComponentsReused += res.Stats.ComponentsReused
+			})
 			s.consumeSeed(seedKey, seed)
 		}
 	}
