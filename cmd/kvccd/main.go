@@ -8,7 +8,7 @@
 //
 //	kvccd -graph social=social.txt -graph web=web.txt [-addr :7474]
 //	      [-cache 64] [-max-k 0] [-parallel 1] [-index] [-index-max-k 0]
-//	      [-index-measures kvcc] [-engine auto] [-seed 0]
+//	      [-index-measures kvcc] [-engine auto]
 //	      [-request-timeout 30s] [-compute-timeout 5m] [-max-timeout 0]
 //	      [-max-inflight 0] [-quota rps[:burst]] [-drain-timeout 10s]
 //	      [-data-dir DIR] [-checkpoint-every 0] [-paging auto]
@@ -23,8 +23,10 @@
 // (hierarchy and cohesion queries build the index on demand either way).
 // -index-max-k truncates that tree at a level when only shallow queries
 // matter. -engine selects the max-flow engine behind every enumeration
-// (auto | dinic | ek | local; all return identical results) and -seed
-// fixes the randomized local engine's seed — purely performance knobs.
+// (auto | dinic | ek; all return identical results, so it is purely a
+// performance knob). The deprecated -engine local runs Dinic, and -seed
+// is accepted and ignored: both served a randomized local cut engine
+// that has been removed.
 // -demo registers a small generated community graph under the
 // name "demo" so the server can be tried without any dataset. -selftest
 // starts the server on an ephemeral port, drives every endpoint through
@@ -88,6 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	graphs := graphFlags{}
 	fs.Var(graphs, "graph", "name=path of an edge list to serve (repeatable)")
+	fs.Uint64("seed", 0, "ignored; kept so existing command lines still parse")
 	var (
 		addr            = fs.String("addr", ":7474", "listen address")
 		cacheSize       = fs.Int("cache", 64, "result cache capacity (entries)")
@@ -96,8 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		index           = fs.Bool("index", false, "precompute the hierarchy index of every graph at startup")
 		indexMaxK       = fs.Int("index-max-k", 0, "truncate hierarchy index builds at this level (0 = full depth)")
 		indexMeasures   = fs.String("index-measures", "kvcc", "comma-separated cohesion measures to index eagerly with -index: kvcc | kecc | kcore")
-		engine          = fs.String("engine", "auto", "max-flow engine: auto | dinic | ek | local (results are identical)")
-		seed            = fs.Uint64("seed", 0, "seed for the randomized local cut engine (0 = fixed default)")
+		engine          = fs.String("engine", "auto", "max-flow engine: auto | dinic | ek (results are identical; the deprecated local runs dinic)")
 		requestTimeout  = fs.Duration("request-timeout", 30*time.Second, "per-request wait ceiling")
 		computeTimeout  = fs.Duration("compute-timeout", 5*time.Minute, "per-enumeration ceiling")
 		demo            = fs.Bool("demo", false, `also serve a generated community graph as "demo"`)
@@ -157,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		IndexMaxK:       *indexMaxK,
 		IndexMeasures:   measures,
 		FlowEngine:      *engine,
-		Seed:            *seed,
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 		MaxInflight:     *maxInflight,

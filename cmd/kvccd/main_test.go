@@ -77,9 +77,9 @@ func TestSelfTestWithTruncatedIndex(t *testing.T) {
 	}
 }
 
-// The engine and seed flags must thread through to a working server: the
-// full selftest runs on the forced local engine with a non-default seed
-// and must produce the same transcript (all engines are exact).
+// Compatibility: command lines written for the removed local cut engine
+// must still start a working server. "-engine local" parses (and runs
+// Dinic) and "-seed" is accepted and ignored.
 func TestSelfTestWithLocalEngine(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-selftest", "-engine", "local", "-seed", "7"}, &out, &errBuf); code != 0 {

@@ -78,7 +78,7 @@ func ParseMeasure(name string) (Measure, error) {
 func Measures() []Measure { return []Measure{KCore, KECC, KVCC} }
 
 // Options re-exports the engine options. Only KVCC consults Algorithm,
-// Parallelism, FlowEngine and Seed; the other measures accept and ignore
+// Parallelism and FlowEngine; the other measures accept and ignore
 // them, so one option set can drive any measure.
 type Options = core.Options
 

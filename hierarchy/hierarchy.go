@@ -109,8 +109,9 @@ type Options struct {
 	// enumerations (default core.FlowAuto). All engines return identical
 	// results, so this is purely a performance knob.
 	FlowEngine core.FlowEngine
-	// Seed seeds the randomized LocalVC engine (0 = fixed default).
-	// Seeds never change results, only the engine's work profile.
+	// Seed is ignored.
+	//
+	// Deprecated: it seeded the removed local cut engine.
 	Seed uint64
 }
 
@@ -136,7 +137,6 @@ func BuildContext(ctx context.Context, g *graph.Graph, opts Options) (*Tree, err
 	coreOpts := core.Options{
 		Algorithm:  opts.Algorithm,
 		FlowEngine: opts.FlowEngine,
-		Seed:       opts.Seed,
 	}
 
 	tree := &Tree{BuiltMaxK: opts.MaxK, Measure: opts.Measure}

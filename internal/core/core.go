@@ -70,46 +70,28 @@ func (a Algorithm) groupSweep() bool    { return a == VCCEG || a == VCCEStar }
 type FlowEngine int
 
 const (
-	// FlowAuto (default) picks per component: LocalVC when k is small
-	// and the component large (local cut search beats whole-graph
-	// max-flow exactly there), Dinic otherwise.
+	// FlowAuto (default) resolves to Dinic.
 	FlowAuto FlowEngine = iota
 	// FlowDinic forces the blocking-flow engine everywhere.
 	FlowDinic
 	// FlowEdmondsKarp forces the shortest-augmenting-path engine
 	// (cross-validation / ablation baseline).
 	FlowEdmondsKarp
-	// FlowLocalVC forces the randomized local cut engine with its
-	// deterministic Dinic fallback.
+	// FlowLocalVC once selected a randomized local cut engine; it now
+	// runs Dinic.
+	//
+	// Deprecated: the local cut engine was removed because it never beat
+	// Dinic on a measured workload. Use FlowAuto.
 	FlowLocalVC
 )
 
-// The FlowAuto thresholds: LocalVC pays off when the volume around a
-// seed is much smaller than the component (large n) and few augmenting
-// rounds are needed (small k). Below either threshold Dinic's global
-// BFS already touches little, so the local engine is pure overhead.
-const (
-	autoLocalMaxK        = 8
-	autoLocalMinVertices = 128
-)
-
-// selectEngine resolves the configured FlowEngine for a component with n
-// vertices. Explicit choices pass through; FlowAuto applies the
-// small-k/large-component heuristic above.
-func (e *enumerator) selectEngine(n int) flow.Engine {
-	switch e.opts.FlowEngine {
-	case FlowDinic:
-		return flow.Dinic
-	case FlowEdmondsKarp:
+// selectEngine resolves the configured FlowEngine: Edmonds-Karp when
+// forced, Dinic otherwise.
+func (e *enumerator) selectEngine() flow.Engine {
+	if e.opts.FlowEngine == FlowEdmondsKarp {
 		return flow.EdmondsKarp
-	case FlowLocalVC:
-		return flow.LocalVC
-	default:
-		if e.k <= autoLocalMaxK && n >= autoLocalMinVertices {
-			return flow.LocalVC
-		}
-		return flow.Dinic
 	}
+	return flow.Dinic
 }
 
 // Options configures Enumerate.
@@ -127,13 +109,6 @@ type Options struct {
 	// FlowEngine selects the max-flow engine behind LOC-CUT (default
 	// FlowAuto). All engines return identical results.
 	FlowEngine FlowEngine
-	// Seed seeds the randomized LocalVC engine (0 = a fixed default, so
-	// the zero value is already reproducible). Every flow network reseeds
-	// from this value, which makes the engine's behavior on a component a
-	// function of (component, seed) alone — independent of worker
-	// scheduling — and seeds never change results, only which queries
-	// fall back from the local engine to Dinic.
-	Seed uint64
 }
 
 // Stats reports the work performed by one Enumerate call. Counters follow
@@ -164,11 +139,13 @@ type Stats struct {
 	CutFallbacks int64 `json:"cut_fallbacks"` // defensive re-computations of an invalid cut (expect 0)
 	PeakBytes    int64 `json:"peak_bytes"`    // peak structural bytes held by queued subgraphs + results
 
-	// LocalVC engine accounting: queries attempted by the local cut
-	// engine, and how many of those exhausted their repetition budget and
-	// fell back to Dinic. Fallbacks cost extra work but never change
-	// results. Both are 0 unless the LocalVC engine was selected.
-	LocalCutAttempts  int64 `json:"local_cut_attempts,omitempty"`
+	// LocalCutAttempts and LocalCutFallbacks counted the work of the
+	// removed local cut engine. They are always 0 and stay only so code
+	// that reads them still compiles; omitempty keeps them off the wire.
+	//
+	// Deprecated: always 0.
+	LocalCutAttempts int64 `json:"local_cut_attempts,omitempty"`
+	// Deprecated: always 0.
 	LocalCutFallbacks int64 `json:"local_cut_fallbacks,omitempty"`
 
 	// ColdPages counts major page faults taken while this enumeration
@@ -213,8 +190,6 @@ func (s *Stats) Add(s2 *Stats) {
 	s.SSVInherited += s2.SSVInherited
 	s.CutFallbacks += s2.CutFallbacks
 	s.ColdPages += s2.ColdPages
-	s.LocalCutAttempts += s2.LocalCutAttempts
-	s.LocalCutFallbacks += s2.LocalCutFallbacks
 	s.ComponentsRecomputed += s2.ComponentsRecomputed
 	s.ComponentsReused += s2.ComponentsReused
 	if s2.PeakBytes > s.PeakBytes {
@@ -353,7 +328,6 @@ func (ws *workspace) certificate(g *graph.Graph, k int) *sparse.Certificate {
 func (e *enumerator) runSerial(seed []task, stats *Stats) []*graph.Graph {
 	var results []*graph.Graph
 	var ws workspace
-	ws.flow.SetSeed(e.opts.Seed)
 	// The queue pops LIFO, so load the seeds reversed: batch members are
 	// then processed in their given (ascending component) order, which on
 	// a mapped snapshot keeps the first pass over each component moving
@@ -420,7 +394,6 @@ func (e *enumerator) runParallel(seed []task, stats *Stats) []*graph.Graph {
 		go func() {
 			defer workers.Done()
 			var ws workspace
-			ws.flow.SetSeed(e.opts.Seed)
 			for {
 				t, ok := q.pop()
 				if !ok {

@@ -24,11 +24,9 @@ func (e *enumerator) findCutBasic(g *graph.Graph, stats *Stats, ws *workspace) [
 	cert := ws.certificate(g, e.k)
 	sc := cert.SC
 	nw := flow.NewNetworkScratch(sc, e.k, &ws.flow)
-	nw.SetEngine(e.selectEngine(sc.NumVertices()))
+	nw.SetEngine(e.selectEngine())
 	defer func() {
 		stats.FlowRuns += nw.FlowRuns
-		stats.LocalCutAttempts += nw.LocalAttempts
-		stats.LocalCutFallbacks += nw.LocalFallbacks
 	}()
 
 	u, _ := sc.MinDegreeVertex()
@@ -155,7 +153,7 @@ func (cf *cutFinder) reset(e *enumerator, g *graph.Graph, cert *sparse.Certifica
 	cf.sc = cert.SC
 	cf.k = e.k
 	cf.nw = flow.NewNetworkScratch(cert.SC, e.k, &ws.flow)
-	cf.nw.SetEngine(e.selectEngine(cert.SC.NumVertices()))
+	cf.nw.SetEngine(e.selectEngine())
 	cf.useNS = e.opts.Algorithm.neighborSweep()
 	cf.useGS = e.opts.Algorithm.groupSweep()
 	cf.hint = hint
@@ -188,8 +186,6 @@ func (e *enumerator) findCutOptimized(g *graph.Graph, hint *ssvHint, stats *Stat
 	cf.reset(e, g, cert, hint, stats, ws)
 	defer func() {
 		stats.FlowRuns += cf.nw.FlowRuns
-		stats.LocalCutAttempts += cf.nw.LocalAttempts
-		stats.LocalCutFallbacks += cf.nw.LocalFallbacks
 	}()
 
 	n := g.NumVertices()

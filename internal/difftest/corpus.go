@@ -49,9 +49,9 @@ func Corpus() []Case {
 		{"grid", Grid(6, 7), 3},                                   // planar, κ = 2
 		{"disconnected-scraps", DisconnectedScraps(), 5},          // components + isolated vertices
 		{"star", Star(20), 2},                                     // no 2-VCC at all
-		// LocalVC-adversarial shapes: dense volume behind tiny cuts
-		// (barbell above, lollipop), no small cut at all (expander), and
-		// one shared cut serving many sides (star of cliques).
+		// Cut-placement shapes: dense volume behind tiny cuts (barbell
+		// above, lollipop), no small cut at all (expander), and one
+		// shared cut serving many sides (star of cliques).
 		{"lollipop", Lollipop(8, 6), 7},                     // clique + dangling path
 		{"harary-expander", Harary(40, 8), 9},               // 8-regular, κ = 8, no local exit
 		{"star-of-cliques", StarOfCliques(4, 8, 3), 6},      // hub set is every minimum cut
@@ -167,8 +167,7 @@ func Barbell(size, pathLen int) *graph.Graph {
 // Lollipop attaches a path of pathLen vertices to one vertex of a
 // clique: the classic lollipop graph. The path peels away under any
 // k-core with k >= 2, but before that the attachment vertex is an
-// articulation point — a size-1 cut guarding a dense far side, the shape
-// a local cut search should resolve without exploring the clique.
+// articulation point — a size-1 cut guarding a dense far side.
 func Lollipop(cliqueSize, pathLen int) *graph.Graph {
 	n := cliqueSize + pathLen
 	var edges [][2]int

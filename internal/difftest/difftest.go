@@ -5,9 +5,9 @@
 //   - the four algorithm variants (VCCE, VCCE-N, VCCE-G, VCCE*) against
 //     each other, serial and parallel — they must produce identical
 //     component sets because the sweeps only prune work, never results;
-//   - the three max-flow engines (Dinic, Edmonds-Karp, LocalVC with and
-//     without an explicit seed) under VCCE* — all exact, so engine and
-//     seed choices must never change a component set either;
+//   - the two max-flow engines (Dinic, Edmonds-Karp) under VCCE* — both
+//     exact, so the engine choice must never change a component set
+//     either;
 //   - VCCE* against the exponential brute-force oracle of internal/verify
 //     on tiny graphs — ground truth by Definition 2;
 //   - every level of the incremental hierarchy build against a direct
@@ -72,12 +72,9 @@ var variants = []struct {
 	{"VCCE-G", core.Options{Algorithm: core.VCCEG}},
 	{"VCCE*", core.Options{Algorithm: core.VCCEStar}},
 	{"VCCE*-parallel", core.Options{Algorithm: core.VCCEStar, Parallelism: 4}},
-	// Flow-engine variants: every engine is exact, so forcing any of them
-	// (or reseeding the randomized one) must never change a component set.
+	// Flow-engine variant: both engines are exact, so forcing
+	// Edmonds-Karp must never change a component set.
 	{"VCCE*-ek", core.Options{Algorithm: core.VCCEStar, FlowEngine: core.FlowEdmondsKarp}},
-	{"VCCE*-localvc", core.Options{Algorithm: core.VCCEStar, FlowEngine: core.FlowLocalVC}},
-	{"VCCE*-localvc-seeded", core.Options{Algorithm: core.VCCEStar, FlowEngine: core.FlowLocalVC, Seed: 0xfeedface}},
-	{"VCCE*-localvc-parallel", core.Options{Algorithm: core.VCCEStar, FlowEngine: core.FlowLocalVC, Parallelism: 4}},
 }
 
 // CheckVariantsAgree enumerates (g, k) with every variant and fails the

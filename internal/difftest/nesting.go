@@ -80,7 +80,7 @@ func checkContained(t testing.TB, k int, innerName string, inner []*graph.Graph,
 
 // measureVariants is the option battery for the measures that have no
 // algorithm variants of their own. cohesion.Options documents that only
-// KVCC consults parallelism, flow engine and seed — so under k-ECC and
+// KVCC consults parallelism and flow engine — so under k-ECC and
 // k-core every one of these must produce the identical component
 // sequence, pinning that contract.
 var measureVariants = []struct {
@@ -90,7 +90,6 @@ var measureVariants = []struct {
 	{"serial", cohesion.Options{}},
 	{"parallel", cohesion.Options{Parallelism: 4}},
 	{"ek-engine", cohesion.Options{FlowEngine: core.FlowEdmondsKarp}},
-	{"seeded", cohesion.Options{Seed: 0xfeedface}},
 }
 
 // CheckMeasureVariantsAgree enumerates (g, k) under measure m with every

@@ -86,160 +86,6 @@ func BenchmarkMinVertexCutDense(b *testing.B) {
 	}
 }
 
-// bridgedBenchGraph is the LocalVC best case: a small clique (vertices
-// 0..small-1) joined to a large random graph through `bridge` middle
-// vertices, each adjacent to several vertices on both sides. A query from
-// the clique into the far side has a size-`bridge` cut right next to the
-// source, so the local DFS exhausts after exploring the clique while a
-// global engine scans the whole big side every BFS.
-func bridgedBenchGraph(small, big, bridge int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	n := small + bridge + big
-	var edges [][2]int
-	for i := 0; i < small; i++ {
-		for j := i + 1; j < small; j++ {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	bigAt := func(i int) int { return small + bridge + i }
-	for i := 1; i < big; i++ {
-		edges = append(edges, [2]int{bigAt(rng.Intn(i)), bigAt(i)})
-	}
-	for i := 0; i < big; i++ {
-		for d := 0; d < 3; d++ {
-			if j := rng.Intn(big); j != i {
-				edges = append(edges, [2]int{bigAt(i), bigAt(j)})
-			}
-		}
-	}
-	for t := 0; t < bridge; t++ {
-		mid := small + t
-		for d := 0; d < 4; d++ {
-			edges = append(edges, [2]int{mid, rng.Intn(small)})
-			edges = append(edges, [2]int{mid, bigAt(rng.Intn(big))})
-		}
-	}
-	return graph.FromEdges(n, edges)
-}
-
-// broomBenchGraph is the local engine's textbook win: a small clique
-// (src side), `bridge` mid vertices joining it to a hub, and the hub
-// fanning out to a large leaf ring. A (clique, hub) query has its
-// size-`bridge` cut right next to the source and its sink right across
-// it, so every local DFS dive resolves in O(clique) steps and the final
-// round exhausts inside the clique — the engine never touches the leaves
-// a global BFS must level every phase.
-func broomBenchGraph(cliqueSize, bridge, leaves int) *graph.Graph {
-	hub := cliqueSize + bridge
-	n := hub + 1 + leaves
-	var edges [][2]int
-	for i := 0; i < cliqueSize; i++ {
-		for j := i + 1; j < cliqueSize; j++ {
-			edges = append(edges, [2]int{i, j})
-		}
-	}
-	for t := 0; t < bridge; t++ {
-		mid := cliqueSize + t
-		for i := 0; i < cliqueSize; i++ {
-			edges = append(edges, [2]int{i, mid})
-		}
-		edges = append(edges, [2]int{mid, hub})
-	}
-	for l := 0; l < leaves; l++ {
-		leaf := hub + 1 + l
-		edges = append(edges, [2]int{hub, leaf})
-		edges = append(edges, [2]int{leaf, hub + 1 + (l+1)%leaves})
-	}
-	return graph.FromEdges(n, edges)
-}
-
-// nonAdjacentPair returns a vertex pair of g with no edge between it, so
-// a MinVertexCut query on the pair cannot take the Lemma 5 shortcut.
-func nonAdjacentPair(b *testing.B, g *graph.Graph) (int, int) {
-	b.Helper()
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
-		for v := n - 1; v > u; v-- {
-			if !g.HasEdge(u, v) {
-				return u, v
-			}
-		}
-	}
-	b.Fatal("graph is complete")
-	return 0, 0
-}
-
-// BenchmarkLocalVCvsDinic is the engine A/B across the local engine's
-// operating range. "hit": a (clique, hub) query on broomBenchGraph — a
-// small cut next to the source with the sink right across it, where the
-// local DFS exhausts inside the clique and never touches the graph's
-// large far side. "atleast": a non-adjacent pair of a dense graph with
-// κ >= bound, the dominant outcome of the phase-1 sweep — here the
-// budget-bounded dives rarely stumble onto the one true sink, so the
-// engine burns its repetition budget and falls back, paying local
-// overhead on top of the full Dinic cost. "miss": a cross-bridge query
-// whose source-side DFS escapes into a large far side before overrunning
-// — fallback again, with the biggest wasted budget. The fallbacks/op
-// metric records the rate; it is the measured basis for keeping FlowAuto
-// conservative (small k only). Warm reuses one network across queries
-// (the enumeration steady state, undo-log path); cold builds fresh each
-// time.
-func BenchmarkLocalVCvsDinic(b *testing.B) {
-	hit := broomBenchGraph(12, 3, 2000)
-	dense := benchGraph(200, 0.3, 2)
-	denseU, denseV := nonAdjacentPair(b, dense)
-	miss := bridgedBenchGraph(12, 2000, 3, 7)
-	shapes := []struct {
-		name     string
-		g        *graph.Graph
-		bound    int
-		src, dst int
-	}{
-		{"hit-k5", hit, 5, 0, 12 + 3},
-		{"atleast-k5", dense, 5, denseU, denseV},
-		{"atleast-k20", dense, 20, denseU, denseV},
-		{"miss-k5", miss, 5, 0, miss.NumVertices() - 1},
-	}
-	engines := []struct {
-		name string
-		e    Engine
-	}{
-		{"dinic", Dinic},
-		{"localvc", LocalVC},
-	}
-	for _, sh := range shapes {
-		bound := sh.bound
-		for _, eng := range engines {
-			b.Run(sh.name+"/"+eng.name+"/warm", func(b *testing.B) {
-				// Reused network, one query per iteration: the per-query
-				// cost including the undo of the previous query's touched
-				// arcs — the quantity the engines actually differ on (the
-				// shared rebuild cost would otherwise swamp it).
-				var s Scratch
-				nw := NewNetworkScratch(sh.g, bound, &s)
-				nw.SetEngine(eng.e)
-				nw.MinVertexCut(sh.src, sh.dst)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					nw.MinVertexCut(sh.src, sh.dst)
-				}
-				if eng.e == LocalVC {
-					b.ReportMetric(float64(nw.LocalFallbacks)/float64(b.N), "fallbacks/op")
-				}
-			})
-			b.Run(sh.name+"/"+eng.name+"/cold", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					nw := NewNetwork(sh.g, bound)
-					nw.SetEngine(eng.e)
-					nw.MinVertexCut(sh.src, sh.dst)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkGlobalVertexConnectivity measures the unoptimized global κ
 // computation used by the public facade.
 func BenchmarkGlobalVertexConnectivity(b *testing.B) {

@@ -16,9 +16,6 @@ const (
 	// same answers; kept as a cross-validation engine and ablation
 	// baseline.
 	EdmondsKarp
-
-	// LocalVC (declared in localvc.go) is the randomized local cut
-	// engine with deterministic Dinic fallback; same answers again.
 )
 
 // SetEngine selects the augmentation strategy for subsequent queries.
@@ -58,7 +55,15 @@ func (nw *Network) maxFlowEK(src, dst int32, limit int) int {
 		}
 		// Trace back and push one unit (every path crosses a unit vertex
 		// arc, so the bottleneck is 1).
-		nw.reverseParentPath(dst, src)
+		for node := dst; node != src; {
+			a := int32(uint32(nw.parent[node]))
+			rev := nw.arcRev[a]
+			nw.touch(a)
+			nw.touch(rev)
+			nw.arcCap[a]--
+			nw.arcCap[rev]++
+			node = nw.arcHead[rev]
+		}
 		value++
 	}
 	return value

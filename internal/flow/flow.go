@@ -89,22 +89,9 @@ type Network struct {
 
 	engine Engine
 
-	// LocalVC engine state: the xorshift PRNG (see SetSeed), the
-	// per-round arc budget override (0 = heuristic), and the fake-sink
-	// endpoints of the current query's path reversals.
-	rngState    uint64
-	localBudget int
-	fakeEnds    []int32
-
 	// FlowRuns counts the number of max-flow computations executed
 	// (LOC-CUT invocations that were not short-circuited).
 	FlowRuns int64
-	// LocalAttempts counts queries the LocalVC engine started;
-	// LocalFallbacks counts the subset it handed to Dinic (budget overrun
-	// past the repetition bound, or a boundary it could not certify as
-	// minimum). Both stay 0 under the other engines.
-	LocalAttempts  int64
-	LocalFallbacks int64
 }
 
 type dfsFrame struct {
@@ -201,18 +188,6 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	switch nw.engine {
 	case EdmondsKarp:
 		value = nw.maxFlowEK(src, dst, limit)
-	case LocalVC:
-		var done bool
-		value, done = nw.maxFlowLocal(src, dst, limit)
-		if !done {
-			// Deterministic fallback: roll the local phase's residual
-			// mutations back through the undo log and rerun the query
-			// on the exact Dinic path. Answers therefore never depend
-			// on the PRNG.
-			nw.LocalFallbacks++
-			nw.undo()
-			value = nw.maxFlowDinic(src, dst, limit)
-		}
 	default:
 		value = nw.maxFlowDinic(src, dst, limit)
 	}

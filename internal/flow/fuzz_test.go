@@ -15,99 +15,6 @@ import (
 // flow value, avoid both endpoints, and actually disconnect the pair.
 // Small instances are additionally checked against the brute-force
 // oracle.
-// fuzzGraph decodes the shared fuzz-input graph shape: a path backbone
-// keeping n = 3..10 vertices connected, plus chord edges toggled by bits.
-func fuzzGraph(nRaw uint8, bits uint16) *graph.Graph {
-	n := 3 + int(nRaw)%8
-	var edges [][2]int
-	for i := 1; i < n; i++ {
-		edges = append(edges, [2]int{i - 1, i})
-	}
-	b := uint32(bits)
-	for u := 0; u < n && len(edges) < n+16; u++ {
-		for v := u + 2; v < n; v++ {
-			if b&1 == 1 {
-				edges = append(edges, [2]int{u, v})
-			}
-			b = b>>1 | b<<15&0xffff // rotate for more than 16 pairs
-		}
-	}
-	return graph.FromEdges(n, edges)
-}
-
-// FuzzLocalVC cross-validates the randomized LocalVC engine against
-// Dinic, Edmonds-Karp, and the brute-force oracle on fuzzer-chosen
-// graphs, (u,v,bound) queries, seeds, and arc budgets. The budget choice
-// deliberately includes 1 (every nontrivial round overruns, forcing the
-// fake-sink reversal and Dinic fallback paths) and the production
-// heuristic. Every engine must agree on the connectivity value, and every
-// cut LocalVC returns must have size κ, avoid both endpoints, and
-// actually disconnect the pair.
-func FuzzLocalVC(f *testing.F) {
-	f.Add(uint8(6), uint16(0xffff), uint8(3), uint64(1), uint8(0))
-	f.Add(uint8(9), uint16(0x1234), uint8(2), uint64(0xdead), uint8(1))
-	f.Add(uint8(12), uint16(0xbeef), uint8(7), uint64(42), uint8(2))
-	f.Add(uint8(5), uint16(0x0f0f), uint8(4), uint64(0), uint8(3))
-	f.Fuzz(func(t *testing.T, nRaw uint8, bits uint16, boundRaw uint8, seed uint64, budgetSel uint8) {
-		g := fuzzGraph(nRaw, bits)
-		n := g.NumVertices()
-		bound := 1 + int(boundRaw)%n
-		budget := []int{0, 1, 4, 16}[budgetSel%4]
-
-		dinic := NewNetwork(g, bound)
-		ek := NewNetwork(g, bound)
-		ek.SetEngine(EdmondsKarp)
-		local := NewNetwork(g, bound)
-		local.SetEngine(LocalVC)
-		local.SetSeed(seed)
-		local.SetLocalBudget(budget)
-
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				cutD, cD, atLeastD := dinic.MinVertexCut(u, v)
-				_, cE, atLeastE := ek.MinVertexCut(u, v)
-				cutL, cL, atLeastL := local.MinVertexCut(u, v)
-				if cD != cL || atLeastD != atLeastL || cD != cE || atLeastD != atLeastE {
-					t.Fatalf("(%d,%d): dinic (%d,%v), ek (%d,%v), localvc (%d,%v)",
-						u, v, cD, atLeastD, cE, atLeastE, cL, atLeastL)
-				}
-				// A fresh local network (clean build, same seed) must agree
-				// with the pooled one that has query history.
-				fresh := NewNetwork(g, bound)
-				fresh.SetEngine(LocalVC)
-				fresh.SetSeed(seed)
-				fresh.SetLocalBudget(budget)
-				if _, cF, atLeastF := fresh.MinVertexCut(u, v); cF != cL || atLeastF != atLeastL {
-					t.Fatalf("(%d,%d): pooled localvc (%d,%v) vs fresh (%d,%v)", u, v, cL, atLeastL, cF, atLeastF)
-				}
-				if atLeastL {
-					continue
-				}
-				for _, cut := range [][]int{cutD, cutL} {
-					if len(cut) != cL {
-						t.Fatalf("(%d,%d): cut %v size != κ %d", u, v, cut, cL)
-					}
-					avoid := map[int]bool{}
-					for _, w := range cut {
-						if w == u || w == v {
-							t.Fatalf("(%d,%d): cut %v contains an endpoint", u, v, cut)
-						}
-						avoid[w] = true
-					}
-					if sameComp(g, u, v, avoid) {
-						t.Fatalf("(%d,%d): cut %v does not separate", u, v, cut)
-					}
-				}
-				if !g.HasEdge(u, v) {
-					if want := verify.LocalConnectivityBrute(g, u, v); want != cL {
-						t.Fatalf("(%d,%d): κ = %d, brute %d", u, v, cL, want)
-					}
-				}
-			}
-		}
-	})
-}
-
 func FuzzMinVertexCut(f *testing.F) {
 	f.Add(uint8(6), uint16(0xffff), uint8(3))
 	f.Add(uint8(9), uint16(0x1234), uint8(2))

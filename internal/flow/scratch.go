@@ -16,15 +16,7 @@ import "kvcc/graph"
 type Scratch struct {
 	nw   Network
 	fill []int32 // next free arcList slot per node during construction
-	seed uint64  // LocalVC PRNG seed applied to every rebuilt network
 }
-
-// SetSeed fixes the LocalVC PRNG seed applied to every network this
-// Scratch rebuilds (0 = the fixed default). Because each rebuild reseeds
-// the PRNG, the local engine's behavior on a component depends only on
-// the component and the seed — never on which worker processed it or in
-// what order — so parallel runs are as reproducible as serial ones.
-func (s *Scratch) SetSeed(seed uint64) { s.seed = seed }
 
 // growInt32 / growUint64 reslice s to length n, reallocating only when
 // the capacity is insufficient. Newly allocated memory is zero; memory
@@ -69,11 +61,6 @@ func NewNetworkScratch(g *graph.Graph, bound int, s *Scratch) *Network {
 	nw.bound = bound
 	nw.engine = Dinic
 	nw.FlowRuns = 0
-	nw.LocalAttempts = 0
-	nw.LocalFallbacks = 0
-	nw.localBudget = 0
-	nw.fakeEnds = nw.fakeEnds[:0]
-	nw.SetSeed(s.seed)
 
 	nw.arcHead = growInt32(nw.arcHead, numArcs)
 	nw.arcCap = growInt32(nw.arcCap, numArcs)

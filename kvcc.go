@@ -52,21 +52,22 @@ const (
 type Stats = core.Stats
 
 // FlowEngine selects the max-flow engine behind the LOC-CUT queries.
-// Every engine returns identical enumeration results; the choice (and the
-// LocalVC seed) only changes how the work is performed.
+// Every engine returns identical enumeration results; the choice only
+// changes how the work is performed.
 type FlowEngine = core.FlowEngine
 
 // Flow engines.
 const (
-	// FlowAuto picks per component: LocalVC for small k on large
-	// components, Dinic otherwise. Default.
+	// FlowAuto resolves to Dinic. Default.
 	FlowAuto = core.FlowAuto
 	// FlowDinic forces the blocking-flow engine.
 	FlowDinic = core.FlowDinic
 	// FlowEdmondsKarp forces the shortest-augmenting-path engine.
 	FlowEdmondsKarp = core.FlowEdmondsKarp
-	// FlowLocalVC forces the randomized local cut engine (deterministic
-	// Dinic fallback on budget overrun).
+	// FlowLocalVC runs Dinic.
+	//
+	// Deprecated: the randomized local cut engine it selected was
+	// removed. Use FlowAuto.
 	FlowLocalVC = core.FlowLocalVC
 )
 
@@ -100,12 +101,12 @@ func WithFlowEngine(e FlowEngine) Option {
 	return func(o *core.Options) { o.FlowEngine = e }
 }
 
-// WithSeed seeds the randomized LocalVC engine (0 selects a fixed
-// default, so runs are reproducible with or without this option). The
-// seed never changes results — LocalVC is exact — only which queries
-// exhaust their local budget and fall back to Dinic.
+// WithSeed does nothing.
+//
+// Deprecated: it seeded the removed randomized local cut engine.
+// Enumeration is deterministic without it.
 func WithSeed(seed uint64) Option {
-	return func(o *core.Options) { o.Seed = seed }
+	return func(*core.Options) {}
 }
 
 // Result is the output of Enumerate.
@@ -227,9 +228,8 @@ func enumerateWithStore(ctx context.Context, g *graph.Graph, k int, options core
 // inside each level-k component (the paper's nesting property), so the
 // whole family costs far less than one enumeration per k. The resulting
 // tree answers Level, Cohesion and Path queries for any k without further
-// enumeration. WithAlgorithm, WithParallelism, WithFlowEngine, and
-// WithSeed apply; parallelism fans out across sibling components of each
-// level.
+// enumeration. WithAlgorithm, WithParallelism and WithFlowEngine apply;
+// parallelism fans out across sibling components of each level.
 func BuildHierarchy(g *graph.Graph, opts ...Option) (*hierarchy.Tree, error) {
 	return BuildHierarchyContext(context.Background(), g, opts...)
 }
@@ -258,7 +258,6 @@ func BuildMeasureHierarchyContext(ctx context.Context, g *graph.Graph, m Measure
 		Algorithm:   options.Algorithm,
 		Parallelism: options.Parallelism,
 		FlowEngine:  options.FlowEngine,
-		Seed:        options.Seed,
 	})
 }
 

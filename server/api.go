@@ -517,7 +517,8 @@ func wireAlgorithm(m kvcc.Measure, algo kvcc.Algorithm) string {
 
 // ParseFlowEngine maps engine names onto the flow engines, mirroring
 // parseAlgorithm's spellings: short CLI names and common aliases are both
-// accepted; the empty string selects the default auto heuristic. Exported
+// accepted; the empty string selects the default (Dinic). The deprecated
+// "local"/"localvc" still parse, to FlowLocalVC, which runs Dinic. Exported
 // so front-ends (kvccd's -engine flag) can reject bad names up front —
 // Config.FlowEngine itself degrades unknown names to auto.
 func ParseFlowEngine(name string) (kvcc.FlowEngine, error) {
@@ -531,7 +532,7 @@ func ParseFlowEngine(name string) (kvcc.FlowEngine, error) {
 	case "local", "localvc":
 		return kvcc.FlowLocalVC, nil
 	}
-	return 0, fmt.Errorf("unknown flow engine %q (want auto | dinic | ek | local)", name)
+	return 0, fmt.Errorf("unknown flow engine %q (want auto | dinic | ek)", name)
 }
 
 // wireComponent converts one component subgraph to its wire form.

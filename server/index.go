@@ -74,7 +74,6 @@ func (s *Server) startBuildLocked(gs *graphState, m cohesion.Measure) *graphInde
 			Measure:     m,
 			Parallelism: s.cfg.Parallelism,
 			FlowEngine:  s.engine, // kvcc.FlowEngine aliases core.FlowEngine
-			Seed:        s.cfg.Seed,
 		})
 		ix.buildMS = float64(time.Since(begin)) / float64(time.Millisecond)
 		ix.tree, ix.err = tree, err

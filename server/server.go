@@ -111,14 +111,15 @@ type Config struct {
 	// every level, not one k.
 	IndexBuildTimeout time.Duration
 	// FlowEngine names the max-flow engine used by every enumeration and
-	// index build: "auto" (default, also the empty string), "dinic",
-	// "ek"/"edmonds-karp", or "local"/"localvc". All engines return
-	// identical results. Unknown names fall back to auto — validate
-	// up front with ParseFlowEngine where an error is wanted (kvccd
-	// rejects bad names at startup).
+	// index build: "auto" (default, also the empty string), "dinic", or
+	// "ek"/"edmonds-karp". The deprecated "local"/"localvc" run Dinic.
+	// All engines return identical results. Unknown names fall back to
+	// auto — validate up front with ParseFlowEngine where an error is
+	// wanted (kvccd rejects bad names at startup).
 	FlowEngine string
-	// Seed seeds the randomized LocalVC engine for every enumeration
-	// (0 = fixed default; results never depend on the seed).
+	// Seed is ignored.
+	//
+	// Deprecated: it seeded the removed local cut engine.
 	Seed uint64
 	// DataDir enables durability: every registered graph gets an on-disk
 	// store (mmap-able CSR snapshot + write-ahead log of edit batches +
@@ -568,11 +569,11 @@ func (s *Server) enumerate(key cacheKey, g *graph.Graph) (*kvcc.Result, error) {
 	if key.measure == kvcc.MeasureKVCC {
 		res, err = kvcc.EnumerateIncrementalContext(ctx, g, key.k, seed,
 			kvcc.WithAlgorithm(key.algo), kvcc.WithParallelism(s.cfg.Parallelism),
-			kvcc.WithFlowEngine(s.engine), kvcc.WithSeed(s.cfg.Seed))
+			kvcc.WithFlowEngine(s.engine))
 	} else {
 		res, err = kvcc.EnumerateMeasureContext(ctx, g, key.k, key.measure,
 			kvcc.WithParallelism(s.cfg.Parallelism),
-			kvcc.WithFlowEngine(s.engine), kvcc.WithSeed(s.cfg.Seed))
+			kvcc.WithFlowEngine(s.engine))
 	}
 	elapsed := time.Since(begin)
 	if haveFaults && res != nil {

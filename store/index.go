@@ -12,6 +12,7 @@ import (
 	"kvcc/cohesion"
 	"kvcc/graph"
 	"kvcc/hierarchy"
+	"kvcc/internal/failpoint"
 )
 
 // indexFileName maps a measure to its index file inside a store
@@ -166,9 +167,17 @@ func writeIndex(path string, t *hierarchy.Tree, version uint64, buildMS float64)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(header[:]); err == nil {
+	// One error path for header and body: a failed body write must not
+	// reach atomicReplace, which would fsync a truncated index over the
+	// good one.
+	_, err = f.Write(header[:])
+	if err == nil {
+		err = failpoint.Eval("store/index-body-write")
+	}
+	if err == nil {
 		_, err = f.Write(body.Bytes())
-	} else {
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
