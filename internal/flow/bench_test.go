@@ -95,3 +95,29 @@ func BenchmarkGlobalVertexConnectivity(b *testing.B) {
 		GlobalVertexConnectivity(g, 10)
 	}
 }
+
+// BenchmarkMinVertexCutPhase2 times the query shape that dominates Fig. 10:
+// GLOBAL-CUT's phase-2 tests between pairs of neighbours of one source
+// vertex, inside a terminal block (n=120, average degree ≈33, bound 20).
+// Such pairs nearly always have κ ≥ bound (all 141 pairs here do), so
+// the query is all flow and no cut.
+func BenchmarkMinVertexCutPhase2(b *testing.B) {
+	g := benchGraph(120, 0.27, 4)
+	u, _ := g.MinDegreeVertex()
+	nbrs := g.Neighbors(u)
+	var pairs [][2]int
+	for i := range nbrs {
+		for j := i + 1; j < len(nbrs); j++ {
+			if !g.HasEdge(nbrs[i], nbrs[j]) {
+				pairs = append(pairs, [2]int{nbrs[i], nbrs[j]})
+			}
+		}
+	}
+	nw := NewNetwork(g, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		nw.MinVertexCut(p[0], p[1])
+	}
+}

@@ -20,6 +20,30 @@
 // (the algorithm only ever asks "is κ(u,v) ≥ k?"), which keeps each test in
 // O(min(n^1/2, k) · m) in the spirit of Even–Tarjan.
 //
+// # Dinic on the split graph
+//
+// The default engine is Dinic, shaped for the query GLOBAL-CUT asks most
+// often — a dense pair with κ(u,v) ≥ bound (docs/DESIGN.md, "Cheap
+// flows: sink-rooted levels and the common-neighbour pre-push"):
+//
+//   - Before any search, one unit is pushed through every common
+//     neighbour w of u and v along out(u)→in(w)→out(w)→in(v), up to the
+//     limit. The arcs are found by position in the CSR layout, so a pair
+//     with at least limit common neighbours (Theorem 8 of the paper)
+//     settles with no BFS at all.
+//   - The level graph is rooted at the sink: the BFS runs backwards from
+//     in(v) and stops once out(u) is labelled, so the DFS only enters
+//     nodes that lay on a shortest path to the sink when the phase began.
+//   - The BFS never reads a twin arc: an arc and its twin hold their
+//     pair's capacity between them, so the twin's residual is read off
+//     the arc itself, and an out(x) with no flow through x is skipped
+//     after its first arc.
+//
+// When the flow stays below the limit it is a maximum flow, and every
+// maximum flow leaves the same residual-reachable source side, so the
+// extracted cut is the same whichever engine or path order produced the
+// flow.
+//
 // # Zero-reset queries
 //
 // A bounded query pushes at most `bound` units of flow and touches only
@@ -58,7 +82,8 @@ type Network struct {
 	// of arcCap/arcInit/arcRev). Grouping by tail makes every adjacency
 	// scan a sequential walk over the arc arrays — no per-arc index
 	// indirection — at the cost of an explicit reverse-arc table, which
-	// only augmentations (not scans) consult.
+	// only augmentations (not scans) consult: a scan that needs a twin's
+	// residual reads it off the arc itself (see bfsLevels).
 	arcHead  []int32 // head node of each arc
 	arcCap   []int32 // residual capacity (mutated by queries)
 	arcInit  []int32 // initial capacity (undo target)
@@ -107,7 +132,9 @@ func pack(gen, val uint32) uint64       { return uint64(gen)<<32 | uint64(val) }
 func stamped(e uint64, gen uint32) bool { return uint32(e>>32) == gen }
 
 // deadLevel is the packed level value of a node removed from the level
-// graph by a dead-ended DFS; it can never equal a real level + 1.
+// graph by a dead-ended DFS. The DFS looks for level[node]-1 and never
+// computes a target at dst (level 0), so deadLevel never matches a live
+// target.
 const deadLevel = ^uint32(0)
 
 // NewNetwork builds the directed flow graph of g with early-termination
@@ -189,7 +216,7 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	case EdmondsKarp:
 		value = nw.maxFlowEK(src, dst, limit)
 	default:
-		value = nw.maxFlowDinic(src, dst, limit)
+		value = nw.maxFlowDinic(u, v, limit)
 	}
 	if value >= limit {
 		return nil, limit, true
@@ -198,36 +225,103 @@ func (nw *Network) MinVertexCutLimit(u, v, limit int) (cut []int, connectivity i
 	return cut, value, false
 }
 
-// maxFlowDinic augments by blocking flows over BFS level graphs until
-// `limit` units flow or no augmenting path remains.
-func (nw *Network) maxFlowDinic(src, dst int32, limit int) int {
-	value := 0
+// maxFlowDinic pre-pushes one unit through each common neighbour of u
+// and v, then augments by blocking flows over sink-rooted level graphs
+// until `limit` units flow or no augmenting path remains.
+func (nw *Network) maxFlowDinic(u, v, limit int) int {
+	src, dst := outNode(u), inNode(v)
+	value := nw.pushCommon(u, v, limit)
 	for value < limit && nw.bfsLevels(src, dst) {
 		value += nw.blockingFlow(src, dst, limit-value)
 	}
 	return value
 }
 
-// bfsLevels builds the Dinic level graph; reports whether dst is reachable.
+// pushCommon pushes one unit along out(u)→in(w)→out(w)→in(v) for each
+// common neighbour w of u and v, up to limit, and returns the units
+// pushed. Distinct w give vertex-disjoint paths, so no search is needed:
+// it is a merge of the sorted N(u) and N(v) plus three arc lookups per
+// path, because NewNetworkScratch lays the arcs out in CSR order —
+// slot 1+i of out(u) heads to in(N(u)[i]), slot 1+j of in(v) is the
+// reverse of out(N(v)[j])→in(v), and slot 0 of in(w) is the vertex arc.
+// With at least limit common neighbours (Theorem 8: u ≡k v) the query
+// settles without a single BFS.
+func (nw *Network) pushCommon(u, v, limit int) int {
+	offsets, edges := nw.g.Adjacency()
+	nu, nv := edges[offsets[u]:offsets[u+1]], edges[offsets[v]:offsets[v+1]]
+	outU, inV := nw.arcStart[outNode(u)]+1, nw.arcStart[inNode(v)]+1
+	pushed := 0
+	for i, j := 0, 0; i < len(nu) && j < len(nv) && pushed < limit; {
+		switch w := nu[i]; {
+		case w < nv[j]:
+			i++
+		case w > nv[j]:
+			j++
+		default:
+			nw.push(outU + int32(i))
+			nw.push(nw.arcStart[inNode(w)])
+			nw.push(nw.arcRev[inV+int32(j)])
+			pushed++
+			i++
+			j++
+		}
+	}
+	return pushed
+}
+
+// push sends one unit of flow across arc a, logging a and its reverse for
+// the next undo.
+func (nw *Network) push(a int32) {
+	rev := nw.arcRev[a]
+	nw.touch(a)
+	nw.touch(rev)
+	nw.arcCap[a]--
+	nw.arcCap[rev]++
+}
+
+// bfsLevels builds the Dinic level graph rooted at the sink: it searches
+// the residual graph backwards from dst, labels each node with its
+// distance to dst, and stops as soon as src is labelled. Every node
+// below src's level then lies on a shortest path to dst, so the DFS
+// never scans a node that cannot reach the sink; a forward search that
+// stops at the sink leaves the whole level before it in the level graph
+// instead. Reports whether src can reach dst.
+//
+// Arc a out of node y stands for its twin arcRev[a] into y. The scan
+// never reads the twin: an arc and its twin always hold their pair's
+// capacity between them (1 for the vertex arc in slot 0, the bound for
+// every adjacency pair), so the twin has residual exactly when arcCap[a]
+// is below that capacity, and the scan stays a sequential walk. An
+// out(x) whose slot 0 is empty carries no flow, so by conservation none
+// of its adjacency arcs does either: in(x) is its only residual
+// predecessor and the rest of its arcs are skipped. (The one node
+// conservation does not cover, src, is never expanded.)
 func (nw *Network) bfsLevels(src, dst int32) bool {
 	// Hoist the hot arrays into locals: the queue append below would
 	// otherwise force a reload of every nw field each iteration.
 	arcStart, arcCap, arcHead, level := nw.arcStart, nw.arcCap, nw.arcHead, nw.level
+	adjCap := int32(nw.bound)
 	gen := nextGen(&nw.levelGen, level)
-	level[src] = pack(gen, 0)
-	queue := append(nw.queue[:0], src)
+	level[dst] = pack(gen, 0)
+	queue := append(nw.queue[:0], dst)
 	defer func() { nw.queue = queue }()
 	for head := 0; head < len(queue); head++ {
 		node := queue[head]
 		next := uint32(level[node]) + 1
-		for a, end := arcStart[node], arcStart[node+1]; a < end; a++ {
-			if arcCap[a] <= 0 {
+		a, end := arcStart[node], arcStart[node+1]
+		if node&1 == 1 && arcCap[a] == 0 {
+			end = a + 1
+		}
+		for pairCap := int32(1); a < end; a, pairCap = a+1, adjCap {
+			// The twin's residual (pairCap - arcCap[a]) first: it comes
+			// from the sequential walk, the head's level entry does not.
+			if arcCap[a] >= pairCap {
 				continue
 			}
 			to := arcHead[a]
 			if !stamped(level[to], gen) {
 				level[to] = pack(gen, next)
-				if to == dst {
+				if to == src {
 					return true
 				}
 				queue = append(queue, to)
@@ -242,10 +336,7 @@ func (nw *Network) bfsLevels(src, dst int32) bool {
 func (nw *Network) blockingFlow(src, dst int32, limit int) int {
 	nw.iterGen = nextGen(&nw.iterGen, nw.iter)
 	total := 0
-	for total < limit {
-		if nw.dfsAugment(src, dst) == 0 {
-			break
-		}
+	for total < limit && nw.dfsAugment(src, dst) {
 		total++
 	}
 	return total
@@ -263,12 +354,15 @@ func (nw *Network) curArc(node int32) uint32 {
 	return uint32(e)
 }
 
-// dfsAugment finds one unit augmenting path in the level graph (all paths
-// here carry exactly one unit because every path crosses a unit vertex
-// arc). Iterative DFS with the standard current-arc optimization; the
-// cursor lives in a register during the advance scan and is stored back
-// once per frame visit.
-func (nw *Network) dfsAugment(src, dst int32) int {
+// dfsAugment pushes one unit along an augmenting path of the level graph
+// and reports whether it found one (every path carries exactly one unit
+// because it crosses a unit vertex arc). It follows residual arcs one
+// level closer to dst; since every labelled node lay on a shortest path
+// to dst when the phase began, it dead-ends only on arcs saturated within
+// the phase. Iterative DFS with the standard current-arc optimization;
+// the cursor lives in a register during the advance scan and is stored
+// back once per frame visit.
+func (nw *Network) dfsAugment(src, dst int32) bool {
 	arcCap, arcHead, level, iter := nw.arcCap, nw.arcHead, nw.level, nw.iter
 	levelGen, iterGen := nw.levelGen, nw.iterGen
 	stack := append(nw.dfsStack[:0], dfsFrame{node: src})
@@ -276,29 +370,15 @@ func (nw *Network) dfsAugment(src, dst int32) int {
 		f := &stack[len(stack)-1]
 		node := f.node
 		if node == dst {
-			// Found a path; saturate the minimum residual along it (=1 on
-			// some vertex arc, but compute it for safety).
-			bottleneck := int32(1 << 30)
-			for i := 0; i+1 < len(stack); i++ {
-				a := stack[i].arc
-				if arcCap[a] < bottleneck {
-					bottleneck = arcCap[a]
-				}
-			}
-			for i := 0; i+1 < len(stack); i++ {
-				a := stack[i].arc
-				rev := nw.arcRev[a]
-				nw.touch(a)
-				nw.touch(rev)
-				arcCap[a] -= bottleneck
-				arcCap[rev] += bottleneck
+			for _, fr := range stack[:len(stack)-1] {
+				nw.push(fr.arc)
 			}
 			nw.dfsStack = stack
-			return int(bottleneck)
+			return true
 		}
 		it := nw.curArc(node)
 		end := uint32(nw.arcStart[node+1])
-		target := pack(levelGen, uint32(level[node])+1)
+		target := pack(levelGen, uint32(level[node])-1)
 		for ; it < end; it++ {
 			if arcCap[it] > 0 && level[arcHead[it]] == target {
 				break
@@ -318,7 +398,7 @@ func (nw *Network) dfsAugment(src, dst int32) int {
 		}
 	}
 	nw.dfsStack = stack
-	return 0
+	return false
 }
 
 // extractCut computes the source side of the min cut in the residual graph

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 
 	"kvcc/graph"
@@ -11,8 +12,11 @@ import (
 // small graphs: Dinic and Edmonds-Karp, each on a pooled network reused
 // across every pair (exercising the undo-log path) and on a fresh
 // network per query (exercising a clean build), must agree on the
-// connectivity value, and every returned cut must have size equal to the
-// flow value, avoid both endpoints, and actually disconnect the pair.
+// connectivity value and on the cut itself, element for element (a flow
+// below the limit is maximum, and every maximum flow leaves the same
+// residual-reachable source side). Every returned cut must have size
+// equal to the flow value, avoid both endpoints, and actually disconnect
+// the pair.
 // Small instances are additionally checked against the brute-force
 // oracle.
 func FuzzMinVertexCut(f *testing.F) {
@@ -50,9 +54,12 @@ func FuzzMinVertexCut(f *testing.F) {
 					t.Fatalf("(%d,%d): dinic (%d,%v) vs ek (%d,%v)", u, v, cD, atLeastD, cE, atLeastE)
 				}
 				fresh := NewNetwork(g, bound)
-				_, cF, atLeastF := fresh.MinVertexCut(u, v)
+				cutF, cF, atLeastF := fresh.MinVertexCut(u, v)
 				if cD != cF || atLeastD != atLeastF {
 					t.Fatalf("(%d,%d): pooled (%d,%v) vs fresh (%d,%v)", u, v, cD, atLeastD, cF, atLeastF)
+				}
+				if !slices.Equal(cutD, cutE) || !slices.Equal(cutD, cutF) {
+					t.Fatalf("(%d,%d): cuts differ: pooled dinic %v, ek %v, fresh dinic %v", u, v, cutD, cutE, cutF)
 				}
 				if atLeastD {
 					continue

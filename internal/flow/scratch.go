@@ -79,7 +79,10 @@ func NewNetworkScratch(g *graph.Graph, bound int, s *Scratch) *Network {
 	// Arc counts per node follow directly from the CSR degrees: every
 	// split node carries its vertex arc (or its reverse) plus one arc per
 	// incident edge, so the tail-grouped layout is computable up front
-	// and the arc arrays fill in place with one cursor per node.
+	// and the arc arrays fill in place with one cursor per node. The fill
+	// order is a contract that pushCommon and bfsLevels rely on: slot 0
+	// of every node is its vertex arc or that arc's reverse, and the
+	// adjacency slots follow the sorted neighbour order.
 	nw.arcStart[0] = 0
 	for v := 0; v < n; v++ {
 		d := int32(g.Degree(v))

@@ -1,6 +1,7 @@
 package flow_test
 
 import (
+	"slices"
 	"testing"
 
 	"kvcc/graph"
@@ -14,7 +15,11 @@ import (
 // expander), and one hub cut shared by many sides (star of cliques).
 // Both engines run on one pooled network each, so every query after the
 // first also exercises the undo log. Every returned cut must have size
-// κ, avoid both endpoints and separate the pair.
+// κ, avoid both endpoints and separate the pair, and the Dinic cut must
+// equal the Edmonds-Karp cut element for element: a flow below the limit
+// is maximum, and every maximum flow leaves the same residual-reachable
+// source side, so the engines may differ in their paths but never in
+// the cut they extract.
 func TestEnginesAgreeAdversarialShapes(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -43,6 +48,9 @@ func TestEnginesAgreeAdversarialShapes(t *testing.T) {
 				}
 				if atLeastD {
 					continue
+				}
+				if !slices.Equal(cutD, cutE) {
+					t.Fatalf("%s (%d,%d): dinic cut %v != ek cut %v", s.name, u, v, cutD, cutE)
 				}
 				for _, cut := range [][]int{cutD, cutE} {
 					if len(cut) != cD {
